@@ -8,16 +8,12 @@ Cahn-Hilliard type boundary conditions, plus convergence-study tooling.
 __version__ = "0.1.0"
 
 from .c0ip import (
-    AssembledForms,
     C0ipParams,
     assemble_a_h,
     assemble_boundary_load,
-    assemble_forms,
     assemble_load,
     assemble_mass,
-    norm_energy,
-    norm_h,
-    norm_qh,
+    matrix_norms,
 )
 from .cahn_hilliard import ChProblem, ChSolution, check_compatibility, solve_ch
 from .control import (
@@ -50,7 +46,6 @@ from .study import ConvergenceReport, ManufacturedCase, eoc, run_study
 
 __all__ = [
     "__version__",
-    "AssembledForms",
     "C0ipParams",
     "ChProblem",
     "ChSolution",
@@ -67,7 +62,6 @@ __all__ = [
     "Triangulation",
     "assemble_a_h",
     "assemble_boundary_load",
-    "assemble_forms",
     "assemble_load",
     "assemble_mass",
     "built_in_polygon",
@@ -82,10 +76,8 @@ __all__ = [
     "interpolate",
     "lift",
     "load_polygon",
+    "matrix_norms",
     "mesh_hierarchy",
-    "norm_energy",
-    "norm_h",
-    "norm_qh",
     "objective",
     "refine_uniform",
     "run_study",

@@ -14,6 +14,7 @@ Either sign yields a symmetric form whose definiteness on the constrained
 spaces is verified empirically (see the property test suite).
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .fem import P2, QuadratureRule, TriangleGeometry
 
 __all__ = [
     "C0ipParams",
-    "AssembledForms",
+    "NORM_NAMES",
     "assemble_a_h",
     "assemble_mass",
     "assemble_load",
@@ -31,15 +32,16 @@ __all__ = [
     "assemble_penalty_matrix",
     "assemble_mean_norm_matrix",
     "assemble_boundary_load",
-    "assemble_forms",
-    "norm_h",
-    "norm_energy",
-    "norm_qh",
+    "boundary_values",
+    "combine_norms",
+    "matrix_norms",
+    "edge_points",
     "edge_side_data",
 ]
 
 _TRI_RULE = QuadratureRule.triangle(6)
 _EDGE_RULE = QuadratureRule.interval(9)
+NORM_NAMES = ("l2", "h", "energy", "qh")
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,13 @@ class EdgeSideGroup:
     length: np.ndarray     # (n,)
 
 
+def edge_points(mesh, edges, rule):
+    """Physical quadrature points on ``edges``, lower to higher vertex; (n, Q, 2)."""
+    pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
+    pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
+    return pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
+
+
 def edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=None):
     """Edge-side evaluation tables: (boundary, interior_minus, interior_plus).
 
@@ -86,11 +95,6 @@ def edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=None):
     if geom is None:
         geom = TriangleGeometry.from_mesh(mesh)
     lap = geom.laplacians()
-    xq = rule.points  # (Q,) on [0, 1]
-
-    pa = mesh.vertices[mesh.edge_vertices[:, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[:, 1]]
-    phys = pa[:, None, :] + xq[None, :, None] * (pb - pa)[:, None, :]  # (ne, Q, 2)
 
     boundary = mesh.is_boundary_edge
     groups = []
@@ -100,9 +104,7 @@ def edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=None):
         (~boundary, mesh.edge_t_plus[~boundary], -1.0),
     ):
         edges = np.flatnonzero(sel)
-        pts = phys[edges]                                # (n, Q, 2)
-        d = pts - geom.v0[tri_ids][:, None, :]
-        ref = np.einsum("tij,tqj->tqi", geom.jac_inv[tri_ids], d)
+        ref = geom.to_reference(tri_ids[:, None], edge_points(mesh, edges, rule))
         gref = P2.gradients(ref)                         # (n, Q, 6, 2)
         gphys = np.einsum("tqbj,tjk->tqbk", gref, geom.jac_inv[tri_ids])
         nrm = out_sign * mesh.edge_normal[edges]         # outward for this side
@@ -231,9 +233,29 @@ def assemble_mass(mesh, dofmap, rule=_TRI_RULE):
     return out.tocsr()
 
 
-def _field_values(f, x, y):
-    v = np.asarray(f(x, y), dtype=float)
+def _field_values(f, x, y, *normal):
+    v = np.asarray(f(x, y, *normal), dtype=float)
     return np.broadcast_to(v, x.shape)
+
+
+def _wants_normal(g2):
+    try:
+        return len(inspect.signature(g2).parameters) >= 4
+    except (TypeError, ValueError):
+        return False
+
+
+def boundary_values(g2, mesh, edges, pts):
+    """Flux ``g2`` at points ``pts`` (n, Q, 2) on boundary ``edges``.
+
+    A flux of four arguments ``g2(x, y, nx, ny)`` also receives the outward
+    unit normal of each edge.
+    """
+    normal = ()
+    if _wants_normal(g2):
+        n = mesh.edge_normal[edges]
+        normal = (n[:, None, 0], n[:, None, 1])
+    return _field_values(g2, pts[..., 0], pts[..., 1], *normal)
 
 
 def assemble_load(mesh, dofmap, f, rule=_TRI_RULE):
@@ -249,21 +271,19 @@ def assemble_load(mesh, dofmap, f, rule=_TRI_RULE):
 
 
 def assemble_boundary_load(mesh, dofmap, g2, rule=_EDGE_RULE):
-    """Boundary functional b_i = sum_{boundary edges} int_e g2 N_i ds."""
+    """Boundary functional b_i = sum_{boundary edges} int_e g2 N_i ds.
+
+    ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
+    """
     geom = TriangleGeometry.from_mesh(mesh)
     edges = np.flatnonzero(mesh.is_boundary_edge)
     b = np.zeros(dofmap.n_dofs)
     if len(edges) == 0:
         return b
-    pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    xq = rule.points
-    pts = pa[:, None, :] + xq[None, :, None] * (pb - pa)[:, None, :]
-    gv = _field_values(g2, pts[..., 0], pts[..., 1])
+    pts = edge_points(mesh, edges, rule)
+    gv = boundary_values(g2, mesh, edges, pts)
     tri_ids = mesh.edge_t_minus[edges]
-    d = pts - geom.v0[tri_ids][:, None, :]
-    ref = np.einsum("tij,tqj->tqi", geom.jac_inv[tri_ids], d)
-    vals = P2.values(ref)                               # (ne, Q, 6)
+    vals = P2.values(geom.to_reference(tri_ids[:, None], pts))  # (ne, Q, 6)
     contrib = mesh.edge_length[edges][:, None] * np.einsum(
         "q,eq,eqb->eb", rule.weights, gv, vals
     )
@@ -271,50 +291,31 @@ def assemble_boundary_load(mesh, dofmap, g2, rule=_EDGE_RULE):
     return b
 
 
-@dataclass(frozen=True)
-class AssembledForms:
-    """Stiffness-like and mass matrices with their provenance."""
+def combine_norms(norms, l2sq, hsq, meansq):
+    """Named norms from their squared pieces.
 
-    A: sp.csr_matrix
-    M: sp.csr_matrix
-    params: C0ipParams
-    level: int
-    n_dofs: int
-
-
-def assemble_forms(mesh, dofmap, params):
-    return AssembledForms(
-        A=assemble_a_h(mesh, dofmap, params),
-        M=assemble_mass(mesh, dofmap),
-        params=params,
-        level=mesh.level,
-        n_dofs=dofmap.n_dofs,
-    )
+    ``hsq`` is the squared h-norm (broken Laplacian plus sigma-weighted
+    jumps); the energy norm adds ``l2sq`` to it and the Q_h norm adds
+    ``meansq``, the |e|-weighted Laplacian means.  Unused pieces may be None.
+    """
+    parts = {"l2": (l2sq,), "h": (hsq,), "energy": (hsq, l2sq), "qh": (hsq, meansq)}
+    return {n: float(np.sqrt(max(sum(parts[n]), 0.0))) for n in norms}
 
 
-def norm_h(v, mesh, dofmap, params):
-    """Mesh-dependent norm: broken Laplacian plus sigma-weighted jump terms."""
-    N = assemble_volume_norm_matrix(mesh, dofmap) + assemble_penalty_matrix(
-        mesh, dofmap, params
-    )
-    return float(np.sqrt(max(v @ (N @ v), 0.0)))
+def matrix_norms(v, mesh, dofmap, params, norms):
+    """Norms of the finite element function ``v``, as {name: value}.
 
-
-def norm_energy(v, mesh, dofmap, params):
-    """Energy norm: h-norm and L2 norm combined."""
-    N = (
-        assemble_volume_norm_matrix(mesh, dofmap)
-        + assemble_penalty_matrix(mesh, dofmap, params)
-        + assemble_mass(mesh, dofmap)
-    )
-    return float(np.sqrt(max(v @ (N @ v), 0.0)))
-
-
-def norm_qh(v, mesh, dofmap, params):
-    """Alternative mesh-dependent norm: adds |e|-weighted Laplacian means."""
-    N = (
-        assemble_volume_norm_matrix(mesh, dofmap)
-        + assemble_penalty_matrix(mesh, dofmap, params)
-        + assemble_mean_norm_matrix(mesh, dofmap)
-    )
-    return float(np.sqrt(max(v @ (N @ v), 0.0)))
+    Each norm matrix is assembled at most once per call; ``norms`` is any
+    subset of ``NORM_NAMES``.
+    """
+    l2sq = hsq = meansq = None
+    if "l2" in norms or "energy" in norms:
+        l2sq = float(v @ (assemble_mass(mesh, dofmap) @ v))
+    if any(n in norms for n in ("h", "energy", "qh")):
+        Nh = assemble_volume_norm_matrix(mesh, dofmap) + assemble_penalty_matrix(
+            mesh, dofmap, params
+        )
+        hsq = float(v @ (Nh @ v))
+    if "qh" in norms:
+        meansq = float(v @ (assemble_mean_norm_matrix(mesh, dofmap) @ v))
+    return combine_norms(norms, l2sq, hsq, meansq)

@@ -10,14 +10,20 @@ data must satisfy the compatibility condition
 which the problem constructor checks with high-order quadrature.
 """
 
-import inspect
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .c0ip import C0ipParams, assemble_a_h, assemble_boundary_load, assemble_load
-from .fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
+from .c0ip import (
+    C0ipParams,
+    assemble_a_h,
+    assemble_boundary_load,
+    assemble_load,
+    boundary_values,
+    edge_points,
+)
+from .fem import QuadratureRule, TriangleGeometry, build_dofmap
 from .linalg import BandedCholesky, SolveReport, constrain
 
 __all__ = [
@@ -48,26 +54,11 @@ def default_pin_corner(mesh):
     return int(corners[order[0]])
 
 
-def _wants_normal(g2):
-    try:
-        return len(inspect.signature(g2).parameters) >= 4
-    except (TypeError, ValueError):
-        return False
-
-
 def _boundary_integral(mesh, g2, rule):
     edges = np.flatnonzero(mesh.is_boundary_edge)
     if len(edges) == 0:
         return 0.0, 0.0
-    pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    pts = pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
-    if _wants_normal(g2):
-        n = mesh.edge_normal[edges]
-        gv = g2(pts[..., 0], pts[..., 1], n[:, None, 0], n[:, None, 1])
-    else:
-        gv = g2(pts[..., 0], pts[..., 1])
-    gv = np.broadcast_to(np.asarray(gv, dtype=float), pts.shape[:2])
+    gv = boundary_values(g2, mesh, edges, edge_points(mesh, edges, rule))
     line = mesh.edge_length[edges] @ (gv @ rule.weights)
     l2sq = mesh.edge_length[edges] @ (gv**2 @ rule.weights)
     return float(line), float(np.sqrt(max(l2sq, 0.0)))
@@ -136,10 +127,7 @@ def solve_ch(problem):
     mesh, dofmap = problem.mesh, problem.dofmap
     A = assemble_a_h(mesh, dofmap, problem.params)
     b = assemble_load(mesh, dofmap, problem.g1)
-    if _wants_normal(problem.g2):
-        b -= _boundary_load_with_normals(mesh, dofmap, problem.g2)
-    else:
-        b -= assemble_boundary_load(mesh, dofmap, problem.g2)
+    b -= assemble_boundary_load(mesh, dofmap, problem.g2)
 
     pin = problem.pinned_corner  # vertex dofs come first, so dof id = vertex id
     A_red, b_red, expand = constrain(A, b, [pin])
@@ -152,30 +140,3 @@ def solve_ch(problem):
     report = SolveReport("cholesky", 0, rel, rel <= 1e-10)
     return ChSolution(psi_h=psi, residual=rel, report=report)
 
-
-def _boundary_load_with_normals(mesh, dofmap, g2, rule=QuadratureRule.interval(9)):
-    """Boundary load for flux fields that depend on the outward normal."""
-    geom = TriangleGeometry.from_mesh(mesh)
-    edges = np.flatnonzero(mesh.is_boundary_edge)
-    b = np.zeros(dofmap.n_dofs)
-    if len(edges) == 0:
-        return b
-    pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    pts = pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
-    n = mesh.edge_normal[edges]
-    gv = np.broadcast_to(
-        np.asarray(
-            g2(pts[..., 0], pts[..., 1], n[:, None, 0], n[:, None, 1]), dtype=float
-        ),
-        pts.shape[:2],
-    )
-    tri_ids = mesh.edge_t_minus[edges]
-    d = pts - geom.v0[tri_ids][:, None, :]
-    ref = np.einsum("tij,tqj->tqi", geom.jac_inv[tri_ids], d)
-    vals = P2.values(ref)
-    contrib = mesh.edge_length[edges][:, None] * np.einsum(
-        "q,eq,eqb->eb", rule.weights, gv, vals
-    )
-    np.add.at(b, dofmap.cell_dofs[tri_ids], contrib)
-    return b

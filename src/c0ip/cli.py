@@ -30,7 +30,7 @@ from .mesh import (
     load_polygon,
     mesh_hierarchy,
 )
-from .study import CASES, NORM_NAMES, get_case, run_study
+from .study import CASES, MAX_REFERENCE_LEVEL, NORM_NAMES, get_case, run_study
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "run", "main"]
 
@@ -162,10 +162,10 @@ def parse_config(text):
             raise ConfigError(
                 f"line {linenos['reference-level']}: reference-level must be an integer"
             ) from None
-        if reference_level <= levels[-1] or reference_level > 8:
+        if reference_level <= levels[-1] or reference_level > MAX_REFERENCE_LEVEL:
             raise ConfigError(
                 f"line {linenos['reference-level']}: reference-level must exceed the "
-                "finest level and be at most 8"
+                f"finest level and be at most {MAX_REFERENCE_LEVEL}"
             )
 
     domain = values.get("domain", "unit-square")

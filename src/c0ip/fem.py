@@ -186,7 +186,6 @@ class DofMap:
     nodes: np.ndarray          # (n_dofs, 2) dof coordinates
     cell_dofs: np.ndarray      # (nt, 6) local-to-global
     boundary_dof_ids: np.ndarray
-    corner_dof_ids: np.ndarray
 
     @property
     def free_dof_ids(self):
@@ -218,7 +217,6 @@ def build_dofmap(mesh, kind="Qh"):
         nodes=nodes,
         cell_dofs=cell_dofs,
         boundary_dof_ids=np.sort(bnd),
-        corner_dof_ids=mesh.corner_vertex_ids.copy(),
     )
 
 

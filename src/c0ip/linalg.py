@@ -1,6 +1,6 @@
 """Sparse symmetric solves: banded Cholesky behind RCM, CG, and constraints.
 
-``SparseMatrix`` is scipy's CSR format throughout; assembly produces
+Matrices are scipy CSR throughout; assembly produces
 canonical (sorted, duplicate-free) matrices.  Direct solves permute with
 reverse Cuthill-McKee and factor the resulting band with LAPACK, which
 doubles as the positive-definiteness check: a non-positive pivot raises
@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
-    "SparseMatrix",
     "SolveReport",
     "PositiveDefiniteError",
     "BandedCholesky",
@@ -24,9 +23,6 @@ __all__ = [
     "Expansion",
     "write_coo_text",
 ]
-
-SparseMatrix = sp.csr_matrix
-
 
 class PositiveDefiniteError(np.linalg.LinAlgError):
     """Factorization hit a non-positive pivot.
@@ -99,8 +95,10 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
     """Conjugate gradients on a symmetric positive definite operator.
 
     ``apply_A`` maps a vector to A @ v; ``precond``, when given, applies an
-    SPD approximation of A^{-1}.  Convergence is measured on the true
-    residual: ||b - A x|| <= tol * ||b||.
+    SPD approximation of A^{-1}.  Convergence is tested on the recursively
+    updated residual r, not on the true residual b - A x, and the report's
+    relative residual is ||r|| / ||b||.  In floating point the two drift
+    apart, so the true residual at exit can be well above ``tol * ||b||``.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)

@@ -16,16 +16,16 @@ import numpy as np
 from . import cahn_hilliard as ch
 from . import control as ctl
 from .c0ip import (
+    NORM_NAMES,
     C0ipParams,
     assemble_a_h,
     assemble_load,
-    assemble_mass,
-    assemble_mean_norm_matrix,
-    assemble_penalty_matrix,
-    assemble_volume_norm_matrix,
+    combine_norms,
+    edge_points,
     edge_side_data,
+    matrix_norms,
 )
-from .fem import QuadratureRule, TriangleGeometry, build_dofmap
+from .fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
 from .linalg import BandedCholesky, constrain
 from .mesh import built_in_polygon, mesh_hierarchy
 
@@ -36,19 +36,19 @@ __all__ = [
     "get_case",
     "error_l2",
     "error_h",
-    "error_energy",
-    "error_qh",
     "eoc",
     "ConvergenceReport",
     "run_study",
     "restrict_to_level",
+    "MAX_REFERENCE_LEVEL",
 ]
 
 # assembly stays at degree 6; error integrands of non-polynomial fields
 # need a much finer rule to keep measurement error out of the EOC columns
 _TRI_RULE = QuadratureRule.triangle(16)
 _EDGE_RULE = QuadratureRule.interval(19)
-NORM_NAMES = ("l2", "h", "energy", "qh")
+# finest mesh level a reference solve may use
+MAX_REFERENCE_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,6 @@ def get_case(name):
 
 def error_l2(v, exact_value, mesh, dofmap, rule=_TRI_RULE):
     """L2 norm of v_h minus the exact field, by triangle quadrature."""
-    from .c0ip import P2
-
     geom = TriangleGeometry.from_mesh(mesh)
     pts = geom.to_physical(rule.points)
     vh = v[dofmap.cell_dofs] @ P2.values(rule.points).T
@@ -201,21 +199,18 @@ def error_l2(v, exact_value, mesh, dofmap, rule=_TRI_RULE):
     return float(np.sqrt(2.0 * geom.area @ (diff**2 @ rule.weights)))
 
 
-def _error_h_sq(v, exact, mesh, dofmap, params, geom=None):
-    if geom is None:
-        geom = TriangleGeometry.from_mesh(mesh)
+def _error_h_sq(v, exact, mesh, dofmap, params, geom, groups):
+    """Squared h-norm error: broken Laplacian part plus sigma-weighted jumps."""
     pts = geom.to_physical(_TRI_RULE.points)
     lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[dofmap.cell_dofs])
     diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
     vol = float(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights))
 
-    bnd, im, ip = edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=geom)
+    bnd, im, ip = groups
     w = _EDGE_RULE.weights
     jump_b = np.einsum("eiq,ei->eq", bnd.dn, v[bnd.dofs])
     # exact normal derivative on boundary edges
-    pa = mesh.vertices[mesh.edge_vertices[bnd.edges, 0]]
-    pb = mesh.vertices[mesh.edge_vertices[bnd.edges, 1]]
-    pts_b = pa[:, None, :] + _EDGE_RULE.points[None, :, None] * (pb - pa)[:, None, :]
+    pts_b = edge_points(mesh, bnd.edges, _EDGE_RULE)
     gx, gy = exact.gradient(pts_b[..., 0], pts_b[..., 1])
     n = mesh.edge_normal[bnd.edges]
     jump_b = jump_b - (
@@ -226,42 +221,47 @@ def _error_h_sq(v, exact, mesh, dofmap, params, geom=None):
         "eiq,ei->eq", ip.dn, v[ip.dofs]
     )
     edge = params.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
-    return vol + edge, geom
+    return vol + edge
 
 
-def error_h(v, exact, mesh, dofmap, params):
-    """Broken h-norm of v_h minus the exact field."""
-    sq, _ = _error_h_sq(v, exact, mesh, dofmap, params)
-    return float(np.sqrt(sq))
-
-
-def error_energy(v, exact, mesh, dofmap, params):
-    """Energy norm: h-norm and L2 parts combined."""
-    sq, _ = _error_h_sq(v, exact, mesh, dofmap, params)
-    return float(np.sqrt(sq + error_l2(v, exact.value, mesh, dofmap) ** 2))
-
-
-def error_qh(v, exact, mesh, dofmap, params):
-    """Q_h norm of the error: h-norm plus |e|-weighted Laplacian-mean term."""
-    sq, geom = _error_h_sq(v, exact, mesh, dofmap, params)
-    bnd, im, ip = edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=geom)
+def _error_mean_sq(v, exact, mesh, groups):
+    """Squared |e|-weighted error of the Laplacian means over all edges."""
+    bnd, im, ip = groups
     w = _EDGE_RULE.weights
     total = 0.0
-    for groups, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
-        edges = groups[0].edges
+    for sides, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
+        edges = sides[0].edges
         mean_disc = np.zeros(len(edges))
-        for g, mw in zip(groups, weights):
+        for g, mw in zip(sides, weights):
             mean_disc += mw * np.einsum("ei,ei->e", g.lap, v[g.dofs])
-        pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
-        pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
-        pts = pa[:, None, :] + _EDGE_RULE.points[None, :, None] * (pb - pa)[:, None, :]
+        pts = edge_points(mesh, edges, _EDGE_RULE)
         mean_ex = np.broadcast_to(
             np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float),
             pts.shape[:2],
         )
         diff = mean_disc[:, None] - mean_ex
         total += float(mesh.edge_length[edges] ** 2 @ ((diff**2) @ w))
-    return float(np.sqrt(sq + total))
+    return total
+
+
+def _exact_errors(v, exact, mesh, dofmap, params, norms):
+    """Errors of v_h against the exact fields, each squared piece computed once."""
+    l2sq = hsq = meansq = None
+    if "l2" in norms or "energy" in norms:
+        # squaring is exact to undo: sqrt(x**2) == x in binary floating point
+        l2sq = error_l2(v, exact.value, mesh, dofmap) ** 2
+    if any(n in norms for n in ("h", "energy", "qh")):
+        geom = TriangleGeometry.from_mesh(mesh)
+        groups = edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=geom)
+        hsq = _error_h_sq(v, exact, mesh, dofmap, params, geom, groups)
+        if "qh" in norms:
+            meansq = _error_mean_sq(v, exact, mesh, groups)
+    return combine_norms(norms, l2sq, hsq, meansq)
+
+
+def error_h(v, exact, mesh, dofmap, params):
+    """Broken h-norm of v_h minus the exact field."""
+    return _exact_errors(v, exact, mesh, dofmap, params, ("h",))["h"]
 
 
 # ---------------------------------------------------------------------------
@@ -376,41 +376,8 @@ def restrict_to_level(fine_coeffs, coarse_dofmap):
     return np.asarray(fine_coeffs)[: coarse_dofmap.n_dofs].copy()
 
 
-def _reference_errors(diff, mesh, dofmap, params, norms):
-    out = {}
-    if "l2" in norms or "energy" in norms:
-        M = assemble_mass(mesh, dofmap)
-        l2sq = float(diff @ (M @ diff))
-    if any(n in norms for n in ("h", "energy", "qh")):
-        Nh = assemble_volume_norm_matrix(mesh, dofmap) + assemble_penalty_matrix(
-            mesh, dofmap, params
-        )
-        hsq = float(diff @ (Nh @ diff))
-    for n in norms:
-        if n == "l2":
-            out[n] = float(np.sqrt(max(l2sq, 0.0)))
-        elif n == "h":
-            out[n] = float(np.sqrt(max(hsq, 0.0)))
-        elif n == "energy":
-            out[n] = float(np.sqrt(max(hsq + l2sq, 0.0)))
-        elif n == "qh":
-            Nq = assemble_mean_norm_matrix(mesh, dofmap)
-            out[n] = float(np.sqrt(max(hsq + float(diff @ (Nq @ diff)), 0.0)))
-    return out
-
-
-def _exact_errors(v, case, mesh, dofmap, params, norms):
-    out = {}
-    for n in norms:
-        if n == "l2":
-            out[n] = error_l2(v, case.exact.value, mesh, dofmap)
-        elif n == "h":
-            out[n] = error_h(v, case.exact, mesh, dofmap, params)
-        elif n == "energy":
-            out[n] = error_energy(v, case.exact, mesh, dofmap, params)
-        elif n == "qh":
-            out[n] = error_qh(v, case.exact, mesh, dofmap, params)
-    return out
+# errors against a finer reference solve: matrix norms of the restricted difference
+_reference_errors = matrix_norms
 
 
 def run_study(
@@ -444,6 +411,12 @@ def run_study(
         reference_level = levels[-1] + 2
     if needs_reference and reference_level <= levels[-1]:
         raise ValueError("reference level must exceed the finest study level")
+    if needs_reference and reference_level > MAX_REFERENCE_LEVEL:
+        raise ValueError(
+            f"reference level {reference_level} exceeds the maximum of "
+            f"{MAX_REFERENCE_LEVEL}; the default is the finest study level + 2, "
+            "so choose coarser study levels or an explicit reference level"
+        )
     norms = tuple(norms) if norms else NORM_NAMES
     for n in norms:
         if n not in NORM_NAMES:
@@ -473,7 +446,7 @@ def run_study(
             diff = v - restrict_to_level(ref_coeffs, dofmap)
             errors = _reference_errors(diff, mesh, dofmap, params, norms)
         else:
-            errors = _exact_errors(v, case, mesh, dofmap, params, norms)
+            errors = _exact_errors(v, case.exact, mesh, dofmap, params, norms)
         compat = extra.get("compatibility_defect", compat)
         rows.append(
             StudyRow(

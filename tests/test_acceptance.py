@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from c0ip import control as ctl
-from c0ip.c0ip import C0ipParams, assemble_a_h, norm_h, norm_qh
+from c0ip.c0ip import C0ipParams, assemble_a_h, matrix_norms
 from c0ip.cahn_hilliard import default_pin_corner
 from c0ip.fem import build_dofmap
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
@@ -245,7 +245,8 @@ def test_criterion_5_form_properties():
         ratios = []
         for _ in range(100):
             v = rng.standard_normal(dm.n_dofs)
-            ratios.append(norm_qh(v, mesh, dm, DEFAULT) / norm_h(v, mesh, dm, DEFAULT))
+            norms = matrix_norms(v, mesh, dm, DEFAULT, ("h", "qh"))
+            ratios.append(norms["qh"] / norms["h"])
         mins.append(min(ratios))
         maxs.append(max(ratios))
     drift_ok = max(maxs) / min(maxs) <= 1.2 and max(mins) / min(mins) <= 1.2
@@ -288,7 +289,7 @@ def test_criterion_6_hand_computed_values():
     oracle_val = float(p @ (A_oracle @ p))
     A = assemble_a_h(mesh, dm, paper)
     value = float(p @ (A @ p))
-    nh2 = norm_h(p, mesh, dm, C0ipParams(sigma=5.0)) ** 2
+    nh2 = matrix_norms(p, mesh, dm, C0ipParams(sigma=5.0), ("h",))["h"] ** 2
 
     ok = (
         abs(oracle_val - 32.0) < 1e-12

@@ -7,9 +7,7 @@ from c0ip.c0ip import (
     assemble_boundary_load,
     assemble_load,
     assemble_mass,
-    norm_energy,
-    norm_h,
-    norm_qh,
+    matrix_norms,
 )
 from c0ip.fem import build_dofmap, interpolate
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
@@ -65,23 +63,23 @@ def test_a_h_hand_value_consistent_coupling(square0):
 def test_norms_hand_values(square0):
     mesh, dm = square0
     p = x_squared(dm)
-    assert norm_h(p, mesh, dm, CONSISTENT5) ** 2 == pytest.approx(24.0, abs=1e-12)
+    norms = matrix_norms(p, mesh, dm, CONSISTENT5, ("h", "energy", "qh"))
+    assert norms["h"] ** 2 == pytest.approx(24.0, abs=1e-12)
     # energy adds the L2 part: integral of x^4 over the square is 1/5
-    assert norm_energy(p, mesh, dm, CONSISTENT5) ** 2 == pytest.approx(24.2, abs=1e-12)
+    assert norms["energy"] ** 2 == pytest.approx(24.2, abs=1e-12)
     # mean term: 4 unit boundary edges give 16, the sqrt(2)-long diagonal
     # gives |e| * int_e 4 ds = sqrt(2) * 4 sqrt(2) = 8, so 24 in total
-    assert norm_qh(p, mesh, dm, CONSISTENT5) ** 2 == pytest.approx(48.0, abs=1e-12)
+    assert norms["qh"] ** 2 == pytest.approx(48.0, abs=1e-12)
 
 
 def test_norm_of_constant_is_zero(square2):
     mesh, dm = square2
     c = np.full(dm.n_dofs, 3.7)
+    norms = matrix_norms(c, mesh, dm, CONSISTENT5, ("h", "qh", "energy"))
     # the form annihilates constants only up to roundoff in the h^-2 entries
-    assert norm_h(c, mesh, dm, CONSISTENT5) < 1e-5
-    assert norm_qh(c, mesh, dm, CONSISTENT5) < 1e-5
-    assert norm_energy(c, mesh, dm, CONSISTENT5) == pytest.approx(
-        3.7, abs=1e-9
-    )  # |c| * sqrt(|Omega|)
+    assert norms["h"] < 1e-5
+    assert norms["qh"] < 1e-5
+    assert norms["energy"] == pytest.approx(3.7, abs=1e-9)  # |c| * sqrt(|Omega|)
 
 
 def test_global_linear_sees_boundary_penalty(square0):
@@ -223,6 +221,18 @@ def test_boundary_load_values(square2):
     assert float(b.sum()) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("domain", ["hexagon", "pentagon150"])
+def test_boundary_load_passes_outward_normal(domain):
+    """A four-argument flux receives the outward normal: by the divergence
+    theorem the boundary integral of x . n is 2 |Omega|, and the integrand
+    is a cubic on each edge, so the edge rule is exact."""
+    polygon = built_in_polygon(domain)
+    mesh = mesh_hierarchy(polygon, 2)[2]
+    dm = build_dofmap(mesh)
+    b = assemble_boundary_load(mesh, dm, lambda x, y, nx, ny: x * nx + y * ny)
+    assert float(b.sum()) == pytest.approx(2.0 * polygon.area, abs=1e-12)
+
+
 # -- definiteness, kernel, norm equivalence ----------------------------------
 
 @pytest.mark.parametrize("domain", ["unit-square", "right-triangle", "hexagon", "pentagon150"])
@@ -268,9 +278,8 @@ def test_norm_equivalence_sampling(rng=np.random.default_rng(17)):
         ratios = []
         for _ in range(100):
             v = rng.standard_normal(dm.n_dofs)
-            nh = norm_h(v, mesh, dm, params)
-            nq = norm_qh(v, mesh, dm, params)
-            ratios.append(nq / nh)
+            norms = matrix_norms(v, mesh, dm, params, ("h", "qh"))
+            ratios.append(norms["qh"] / norms["h"])
         ratios = np.array(ratios)
         assert np.all(ratios >= 1.0 - 1e-12)  # the Q_h norm dominates by construction
         mins.append(ratios.min())
@@ -291,7 +300,7 @@ def test_boundedness_and_coercivity_witness(rng=np.random.default_rng(23)):
         lo, hi = np.inf, 0.0
         for _ in range(100):
             v = rng.standard_normal(dm.n_dofs)
-            r = float(v @ (A @ v)) / norm_h(v, mesh, dm, params) ** 2
+            r = float(v @ (A @ v)) / matrix_norms(v, mesh, dm, params, ("h",))["h"] ** 2
             lo, hi = min(lo, r), max(hi, r)
         lows.append(lo)
         highs.append(hi)
@@ -307,7 +316,10 @@ def test_boundedness_and_coercivity_witness(rng=np.random.default_rng(23)):
             v = rng.standard_normal(dm.n_dofs)
             w = rng.standard_normal(dm.n_dofs)
             num = abs(float(v @ (A @ w)))
-            den = norm_h(v, mesh, dm, params) * norm_h(w, mesh, dm, params)
+            den = (
+                matrix_norms(v, mesh, dm, params, ("h",))["h"]
+                * matrix_norms(w, mesh, dm, params, ("h",))["h"]
+            )
             worst = max(worst, num / den)
         cs.append(worst)
     assert max(cs) <= 1.5 * cs[0]

@@ -153,6 +153,27 @@ def test_reference_study_zero_case():
         assert row.errors["h"] == 0.0
 
 
+def test_default_reference_level_refused_before_meshing(monkeypatch, tmp_path, capsys):
+    """levels 2..7 put the default reference level at 9, past the bound of 8;
+    both the library and the CLI refuse it before building any mesh."""
+    import c0ip.study
+    from c0ip.cli import main
+
+    def no_meshes(*args, **kwargs):
+        raise AssertionError("mesh_hierarchy called for a refused study")
+
+    monkeypatch.setattr(c0ip.study, "mesh_hierarchy", no_meshes)
+    with pytest.raises(ValueError, match="reference level 9 exceeds the maximum of 8"):
+        run_study("reference", range(2, 8))
+
+    cfg = tmp_path / "ref.cfg"
+    cfg.write_text(
+        f"problem = dirichlet-control\nlevels = 2..7\noutput = {tmp_path / 'ref.csv'}\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    assert "reference level 9 exceeds the maximum of 8" in capsys.readouterr().err
+
+
 def test_csv_deterministic_except_seconds():
     rep1 = run_study("bubble", [1, 2], sigma=5.0, norms=("l2",))
     rep2 = run_study("bubble", [1, 2], sigma=5.0, norms=("l2",))

@@ -4,10 +4,15 @@ Matrices are scipy CSR throughout; assembly produces
 canonical (sorted, duplicate-free) matrices.  Direct solves permute with
 reverse Cuthill-McKee and factor the resulting band with LAPACK, which
 doubles as the positive-definiteness check: a non-positive pivot raises
-``PositiveDefiniteError``.
+``PositiveDefiniteError``.  The band is allocated in Fortran order and
+factored in place, so a factor holds one buffer of (bw + 1) * n * 8 bytes;
+a band larger than the machine's physical memory raises ``MemoryError``
+before it is allocated.
 """
 
 from dataclasses import dataclass
+import os
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -40,11 +45,18 @@ class SolveReport:
     success: bool
 
 
+def _physical_memory_bytes():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class BandedCholesky:
     """Reusable Cholesky factor of a sparse SPD matrix.
 
     The matrix is permuted by reverse Cuthill-McKee and stored in LAPACK
-    upper band form before factorization.
+    upper band form, a Fortran-ordered array of (bw + 1) * n * 8 bytes that
+    LAPACK factors in place: that one buffer is both the band and the
+    factor.  A band larger than physical memory raises ``MemoryError``
+    before allocation.
     """
 
     def __init__(self, A):
@@ -59,10 +71,19 @@ class BandedCholesky:
         keep = Ap.row <= Ap.col
         rows, cols, vals = Ap.row[keep], Ap.col[keep], Ap.data[keep]
         bw = int((cols - rows).max()) if len(rows) else 0
-        ab = np.zeros((bw + 1, n))
+        need, have = (bw + 1) * n * 8, _physical_memory_bytes()
+        if need > have:
+            raise MemoryError(
+                f"banded Cholesky of {n} dofs with bandwidth {bw} needs "
+                f"{need / 2**30:.1f} GiB of band storage; this machine has "
+                f"{have / 2**30:.1f} GiB of physical memory"
+            )
+        ab = np.zeros((bw + 1, n), order="F")
         ab[bw - (cols - rows), cols] = vals
         try:
-            self._factor = sla.cholesky_banded(ab, lower=False, check_finite=False)
+            self._factor = sla.cholesky_banded(
+                ab, overwrite_ab=True, lower=False, check_finite=False
+            )
         except np.linalg.LinAlgError as exc:
             raise PositiveDefiniteError(str(exc)) from exc
         self.bandwidth = bw
@@ -95,10 +116,11 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
     """Conjugate gradients on a symmetric positive definite operator.
 
     ``apply_A`` maps a vector to A @ v; ``precond``, when given, applies an
-    SPD approximation of A^{-1}.  Convergence is tested on the recursively
-    updated residual r, not on the true residual b - A x, and the report's
-    relative residual is ||r|| / ||b||.  In floating point the two drift
-    apart, so the true residual at exit can be well above ``tol * ||b||``.
+    SPD approximation of A^{-1}.  Convergence, and so the report's
+    ``success``, is tested on the recursively updated residual r.  The
+    report's relative residual is the true ||b - A x|| / ||b||, recomputed at
+    exit with one extra ``apply_A``.  In floating point the two drift apart,
+    so a successful solve can report a residual well above ``tol``.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -131,7 +153,8 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
-    return x, SolveReport("cg", it, res / nb, res <= tol * nb)
+    true_res = float(np.linalg.norm(b - apply_A(x)))
+    return x, SolveReport("cg", it, true_res / nb, res <= tol * nb)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from c0ip import linalg
 from c0ip.c0ip import C0ipParams, assemble_a_h
+from c0ip.cli import main
 from c0ip.fem import build_dofmap
 from c0ip.linalg import (
+    BandedCholesky,
     PositiveDefiniteError,
     cg_solve,
     cholesky_solve,
@@ -42,16 +48,70 @@ def test_cholesky_rejects_indefinite():
         cholesky_solve(A, np.array([1.0, 1.0]))
 
 
-def test_cholesky_on_vh_system(rng=np.random.default_rng(1)):
-    mesh = mesh_hierarchy(built_in_polygon("unit-square"), 3)[3]
+def _vh_system(domain, level):
+    """a_h restricted to the interior dofs, the V_h system of the clamped plate."""
+    mesh = mesh_hierarchy(built_in_polygon(domain), level)[level]
     dm = build_dofmap(mesh)
     A = assemble_a_h(mesh, dm, C0ipParams())
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
-    Af = A[interior][:, interior]
+    return A[interior][:, interior].tocsr()
+
+
+def test_cholesky_on_vh_system(rng=np.random.default_rng(1)):
+    Af = _vh_system("unit-square", 3)
     b = rng.standard_normal(Af.shape[0])
     x, rep = cholesky_solve(Af, b)
     assert rep.relative_residual <= 1e-10
     assert rep.success
+
+
+def test_banded_factor_bit_identical_to_c_ordered_copy():
+    # LAPACK gets the same band whether scipy copies a C-ordered array or
+    # factors a Fortran-ordered one in place, so the factor must not move
+    A = _vh_system("hexagon", 4)
+    F = BandedCholesky(A)
+    bw = F.bandwidth
+    Ap = A[F.perm][:, F.perm].tocoo()
+    keep = Ap.row <= Ap.col
+    rows, cols = Ap.row[keep], Ap.col[keep]
+    ab = np.zeros((bw + 1, F.n))
+    ab[bw - (cols - rows), cols] = Ap.data[keep]
+    assert ab.flags.c_contiguous and not ab.flags.f_contiguous
+    expected = sla.cholesky_banded(ab, lower=False, check_finite=False)
+    assert np.array_equal(F._factor, expected)
+
+
+def test_banded_factor_holds_one_band_buffer():
+    A = _vh_system("hexagon", 5)
+    tracemalloc.start()
+    try:
+        F = BandedCholesky(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (F.n, F.bandwidth) == (8001, 319)
+    band_bytes = (F.bandwidth + 1) * F.n * 8
+    assert peak < 1.5 * band_bytes, f"peak {peak / band_bytes:.2f} band sizes"
+
+
+def test_banded_factor_refuses_band_larger_than_memory(monkeypatch):
+    monkeypatch.setattr(linalg, "_physical_memory_bytes", lambda: 16)
+    A = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    with pytest.raises(MemoryError, match=r"2 dofs with bandwidth 1 needs .* GiB"):
+        BandedCholesky(A)
+
+
+def test_cli_reports_memory_preflight(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(linalg, "_physical_memory_bytes", lambda: 16)
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(
+        f"problem = clamped-plate\nlevels = 1..2\noutput = {tmp_path / 'plate.csv'}\n"
+    )
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: banded Cholesky of ")
+    assert "GiB of physical memory" in err
+    assert not (tmp_path / "plate.csv").exists()
 
 
 def test_cg_identity_one_iteration():
@@ -85,12 +145,19 @@ def test_cg_max_iter_flagged():
     assert rep.iterations == 3
 
 
+def test_cg_reports_true_residual(rng=np.random.default_rng(2)):
+    # on this system the recursive residual drifts well below the true one
+    Af = _vh_system("unit-square", 4)
+    b = rng.standard_normal(Af.shape[0])
+    x, rep = cg_solve(lambda v: Af @ v, b, tol=1e-12)
+    true_rel = np.linalg.norm(b - Af @ x) / np.linalg.norm(b)
+    assert rep.success
+    assert rep.relative_residual == pytest.approx(true_rel, rel=1e-9)
+    assert rep.relative_residual > 1e-12
+
+
 def test_cg_cholesky_cross_oracle(rng=np.random.default_rng(2)):
-    mesh = mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
-    dm = build_dofmap(mesh)
-    A = assemble_a_h(mesh, dm, C0ipParams())
-    interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
-    Af = A[interior][:, interior].tocsr()
+    Af = _vh_system("unit-square", 2)
     b = rng.standard_normal(Af.shape[0])
     xc, _ = cholesky_solve(Af, b)
     xi, rep = cg_solve(lambda v: Af @ v, b, tol=1e-13, max_iter=5000)

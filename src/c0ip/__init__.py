@@ -15,7 +15,7 @@ from .c0ip import (
     assemble_mass,
     matrix_norms,
 )
-from .cahn_hilliard import ChProblem, ChSolution, check_compatibility, solve_ch
+from .cahn_hilliard import ChProblem, ChSolution, solve_ch
 from .control import (
     ControlProblem,
     KktSolution,
@@ -66,7 +66,6 @@ __all__ = [
     "assemble_mass",
     "built_in_polygon",
     "cg_solve",
-    "check_compatibility",
     "cholesky_solve",
     "constrain",
     "build_dofmap",

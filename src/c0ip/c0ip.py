@@ -222,11 +222,11 @@ def assemble_mean_norm_matrix(mesh, dofmap):
     return out.tocsr()
 
 
-def assemble_mass(mesh, dofmap, rule=_TRI_RULE):
+def assemble_mass(mesh, dofmap):
     """P2 mass matrix."""
     geom = TriangleGeometry.from_mesh(mesh)
-    vals = P2.values(rule.points)                       # (Q, 6)
-    mref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+    vals = P2.values(_TRI_RULE.points)                  # (Q, 6)
+    mref = np.einsum("q,qi,qj->ij", _TRI_RULE.weights, vals, vals)
     blocks = 2.0 * geom.area[:, None, None] * mref
     out = _CooBuilder(dofmap.n_dofs)
     out.add_blocks(dofmap.cell_dofs, dofmap.cell_dofs, blocks)
@@ -258,19 +258,19 @@ def boundary_values(g2, mesh, edges, pts):
     return _field_values(g2, pts[..., 0], pts[..., 1], *normal)
 
 
-def assemble_load(mesh, dofmap, f, rule=_TRI_RULE):
+def assemble_load(mesh, dofmap, f):
     """Load vector b_i = int_Omega f N_i by triangle quadrature."""
     geom = TriangleGeometry.from_mesh(mesh)
-    pts = geom.to_physical(rule.points)                 # (nt, Q, 2)
+    pts = geom.to_physical(_TRI_RULE.points)            # (nt, Q, 2)
     fv = _field_values(f, pts[..., 0], pts[..., 1])
-    vals = P2.values(rule.points)
-    contrib = 2.0 * geom.area[:, None] * np.einsum("q,tq,qb->tb", rule.weights, fv, vals)
+    vals = P2.values(_TRI_RULE.points)
+    contrib = 2.0 * geom.area[:, None] * np.einsum("q,tq,qb->tb", _TRI_RULE.weights, fv, vals)
     b = np.zeros(dofmap.n_dofs)
     np.add.at(b, dofmap.cell_dofs, contrib)
     return b
 
 
-def assemble_boundary_load(mesh, dofmap, g2, rule=_EDGE_RULE):
+def assemble_boundary_load(mesh, dofmap, g2):
     """Boundary functional b_i = sum_{boundary edges} int_e g2 N_i ds.
 
     ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
@@ -280,12 +280,12 @@ def assemble_boundary_load(mesh, dofmap, g2, rule=_EDGE_RULE):
     b = np.zeros(dofmap.n_dofs)
     if len(edges) == 0:
         return b
-    pts = edge_points(mesh, edges, rule)
+    pts = edge_points(mesh, edges, _EDGE_RULE)
     gv = boundary_values(g2, mesh, edges, pts)
     tri_ids = mesh.edge_t_minus[edges]
     vals = P2.values(geom.to_reference(tri_ids[:, None], pts))  # (ne, Q, 6)
     contrib = mesh.edge_length[edges][:, None] * np.einsum(
-        "q,eq,eqb->eb", rule.weights, gv, vals
+        "q,eq,eqb->eb", _EDGE_RULE.weights, gv, vals
     )
     np.add.at(b, dofmap.cell_dofs[tri_ids], contrib)
     return b

@@ -7,7 +7,9 @@ data must satisfy the compatibility condition
 
     int_Omega g1 dx = int_{boundary} g2 ds,
 
-which the problem constructor checks with high-order quadrature.
+which the problem constructor checks with high-order quadrature.  The pinned
+corner is eliminated inside the factor (``cholesky_solve`` with that dof
+fixed), which returns the full-length solution, zero at the corner.
 """
 
 import warnings
@@ -24,18 +26,16 @@ from .c0ip import (
     edge_points,
 )
 from .fem import QuadratureRule, TriangleGeometry, build_dofmap
-from .linalg import BandedCholesky, SolveReport, constrain
+from .linalg import SolveReport, cholesky_solve
 
 __all__ = [
     "ChProblem",
     "ChSolution",
     "CompatibilityError",
-    "check_compatibility",
     "solve_ch",
     "default_pin_corner",
 ]
 
-_TINY = 1e-300
 _COMPAT_HARD = 1e-8
 _COMPAT_WARN = 1e-10
 _CHECK_TRI_RULE = QuadratureRule.triangle(20)
@@ -78,12 +78,12 @@ def _volume_integral(mesh, g1, rule):
 class ChProblem:
     """Source/flux data on a mesh, with corner pinning and validated data."""
 
-    def __init__(self, mesh, g1, g2, params=None, pinned_corner=None, dofmap=None):
+    def __init__(self, mesh, g1, g2, params=None, pinned_corner=None):
         self.mesh = mesh
         self.g1 = g1
         self.g2 = g2
         self.params = params or C0ipParams()
-        self.dofmap = dofmap or build_dofmap(mesh, "Qh")
+        self.dofmap = build_dofmap(mesh)
         self.pinned_corner = (
             default_pin_corner(mesh) if pinned_corner is None else int(pinned_corner)
         )
@@ -110,15 +110,9 @@ class ChProblem:
             )
 
 
-def check_compatibility(problem):
-    """Signed quadrature value of int g1 - int g2."""
-    return problem.compatibility_defect
-
-
 @dataclass(frozen=True)
 class ChSolution:
     psi_h: np.ndarray
-    residual: float
     report: SolveReport
 
 
@@ -128,15 +122,6 @@ def solve_ch(problem):
     A = assemble_a_h(mesh, dofmap, problem.params)
     b = assemble_load(mesh, dofmap, problem.g1)
     b -= assemble_boundary_load(mesh, dofmap, problem.g2)
-
-    pin = problem.pinned_corner  # vertex dofs come first, so dof id = vertex id
-    A_red, b_red, expand = constrain(A, b, [pin])
-    factor = BandedCholesky(A_red)
-    x = factor.solve(b_red)
-    psi = expand.expand(x)
-
-    res = np.linalg.norm(A_red @ x - b_red)
-    rel = float(res / max(np.linalg.norm(b_red), _TINY))
-    report = SolveReport("cholesky", 0, rel, rel <= 1e-10)
-    return ChSolution(psi_h=psi, residual=rel, report=report)
-
+    # vertex dofs come first, so the pinned dof id is the vertex id
+    psi, report = cholesky_solve(A, b, [problem.pinned_corner])
+    return ChSolution(psi_h=psi, report=report)

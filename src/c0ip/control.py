@@ -8,7 +8,10 @@ definite operator on the control space,
     H q = alpha A q + T' M T q,        T q = lift(q),
 
 which is driven by preconditioned CG (preconditioner alpha A + M).  The
-assembled three-by-three block system is kept as an independent cross-check.
+inner V_h solves use one factor of A with the boundary dofs fixed inside
+it; its solves take and return full-length vectors, zero on the boundary.
+The assembled three-by-three block system is kept as an independent
+cross-check.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ _TINY = 1e-300
 class ControlProblem:
     """Data and assembled operators of one discrete control problem."""
 
-    def __init__(self, mesh, f, u_d, alpha, params=None, dofmap=None):
+    def __init__(self, mesh, f, u_d, alpha, params=None):
         if not alpha > 0.0:
             raise ValueError(f"regularization parameter alpha must be > 0, got {alpha}")
         self.mesh = mesh
@@ -49,7 +52,7 @@ class ControlProblem:
         self.u_d = u_d
         self.alpha = float(alpha)
         self.params = params or C0ipParams()
-        self.dofmap = dofmap or build_dofmap(mesh, "Qh")
+        self.dofmap = build_dofmap(mesh)
         # V_h is Q_h minus the boundary dofs
         self.vh_free = np.setdiff1d(
             np.arange(self.dofmap.n_dofs), self.dofmap.boundary_dof_ids
@@ -61,8 +64,8 @@ class ControlProblem:
 
     @cached_property
     def state_factor(self):
-        """Cholesky factor of the V_h-restricted stiffness matrix."""
-        return BandedCholesky(self.A[self.vh_free][:, self.vh_free])
+        """Cholesky factor of the stiffness matrix on V_h (boundary dofs fixed)."""
+        return BandedCholesky(self.A, self.dofmap.boundary_dof_ids)
 
     @cached_property
     def precond_factor(self):
@@ -82,19 +85,13 @@ class ControlProblem:
 
     # -- V_h solves ---------------------------------------------------------
 
-    def vh_solve(self, rhs_full):
-        """Solve a(v, w) = rhs(w) for v in V_h; returns a full-length vector."""
-        v = np.zeros(self.dofmap.n_dofs)
-        v[self.vh_free] = self.state_factor.solve(rhs_full[self.vh_free])
-        return v
-
     def lift_apply(self, q):
         """T q = w + q with a(w, v) = -a(q, v) for all v in V_h."""
-        return q + self.vh_solve(-(self.A @ q))
+        return q + self.state_factor.solve(-(self.A @ q))
 
     def lift_transpose_apply(self, y):
         """T' y = y - A w with w the V_h solve of y's restriction."""
-        return y - self.A @ self.vh_solve(y)
+        return y - self.A @ self.state_factor.solve(y)
 
 
 def forward_solve(problem, p_h=None):
@@ -102,7 +99,7 @@ def forward_solve(problem, p_h=None):
     rhs = problem.load_f.copy()
     if p_h is not None:
         rhs -= problem.A @ p_h
-    return problem.vh_solve(rhs)
+    return problem.state_factor.solve(rhs)
 
 
 def lift(problem, p_h):
@@ -175,7 +172,7 @@ def kkt_residuals(problem, u_f, q, phi):
 def _finish(problem, q, report):
     u_f = forward_solve(problem, q)
     u = u_f + q
-    phi = problem.vh_solve(problem.M @ u - problem.load_ud)
+    phi = problem.state_factor.solve(problem.M @ u - problem.load_ud)
     return KktSolution(
         u_f_h=u_f,
         q_h=q,
@@ -213,7 +210,9 @@ def solve_kkt_monolithic(problem):
 
     Kept as an independent cross-check of the reduced path; unknowns are
     (state, control, adjoint) with the state/adjoint blocks restricted to
-    the boundary-vanishing dofs.
+    the boundary-vanishing dofs.  The block system is nonsymmetric and is
+    solved by sparse LU; the report holds its true relative residual
+    ||K s - rhs|| / ||rhs||.
     """
     free = problem.vh_free
     A, M = problem.A, problem.M
@@ -242,7 +241,8 @@ def solve_kkt_monolithic(problem):
     q = sol[nf : nf + n]
     phi = np.zeros(n)
     phi[free] = sol[nf + n :]
-    report = SolveReport("cholesky", 0, 0.0, True)
+    rel = float(np.linalg.norm(K @ sol - rhs)) / max(float(np.linalg.norm(rhs)), _TINY)
+    report = SolveReport("lu", 0, rel, rel <= 1e-10)
     u = u_f + q
     return KktSolution(
         u_f_h=u_f,

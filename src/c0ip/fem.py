@@ -2,8 +2,8 @@
 
 Degrees of freedom live at triangle vertices and edge midpoints; globally
 they are numbered vertices first, then edges, which keeps the numbering a
-stable prefix under red refinement.  The boundary-vanishing space is the
-same dof set with the boundary dofs marked for elimination.
+stable prefix under red refinement.  The boundary-vanishing space V_h is
+the same dof set with ``boundary_dof_ids`` fixed in the factor.
 """
 
 from dataclasses import dataclass
@@ -169,36 +169,24 @@ class TriangleGeometry:
         d = points - self.v0[cells]
         return np.einsum("...ij,...j->...i", self.jac_inv[cells], d)
 
-    def laplacians(self, element=P2):
+    def laplacians(self):
         """Physical Laplacian of each shape function; constant, (nt, 6)."""
         # hess_phys = Jinv^T Href Jinv; trace via einsum
-        return np.einsum(
-            "tmk,bmn,tnk->tb", self.jac_inv, element.hessians, self.jac_inv
-        )
+        return np.einsum("tmk,bmn,tnk->tb", self.jac_inv, P2.hessians, self.jac_inv)
 
 
 @dataclass(frozen=True)
 class DofMap:
-    """Global P2 dof numbering for Q_h, with V_h as a constrained subset."""
+    """Global P2 dof numbering for Q_h; V_h fixes the boundary dofs."""
 
-    space_kind: str            # "Qh" | "Vh"
     n_dofs: int
     nodes: np.ndarray          # (n_dofs, 2) dof coordinates
     cell_dofs: np.ndarray      # (nt, 6) local-to-global
     boundary_dof_ids: np.ndarray
 
-    @property
-    def free_dof_ids(self):
-        """Dofs that carry unknowns (all for Q_h; interior ones for V_h)."""
-        if self.space_kind == "Qh":
-            return np.arange(self.n_dofs)
-        return np.setdiff1d(np.arange(self.n_dofs), self.boundary_dof_ids)
 
-
-def build_dofmap(mesh, kind="Qh"):
+def build_dofmap(mesh):
     """P2 dof map: vertex dofs 0..nv-1 then edge dofs nv..nv+ne-1."""
-    if kind not in ("Qh", "Vh"):
-        raise ValueError(f"space kind must be 'Qh' or 'Vh', got {kind!r}")
     nv = mesh.n_vertices
     cell_dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
     cell_dofs[:, :3] = mesh.triangles
@@ -212,7 +200,6 @@ def build_dofmap(mesh, kind="Qh"):
         ]
     )
     return DofMap(
-        space_kind=kind,
         n_dofs=nv + mesh.n_edges,
         nodes=nodes,
         cell_dofs=cell_dofs,
@@ -221,18 +208,12 @@ def build_dofmap(mesh, kind="Qh"):
 
 
 def interpolate(dofmap, function):
-    """Nodal interpolation: coefficients are point values at the dof nodes.
-
-    For V_h the boundary coefficients are forced to zero.
-    """
+    """Nodal interpolation: coefficients are point values at the dof nodes."""
     coeffs = np.asarray(function(dofmap.nodes[:, 0], dofmap.nodes[:, 1]), dtype=float)
-    coeffs = np.broadcast_to(coeffs, (dofmap.n_dofs,)).copy()
-    if dofmap.space_kind == "Vh":
-        coeffs[dofmap.boundary_dof_ids] = 0.0
-    return coeffs
+    return np.broadcast_to(coeffs, (dofmap.n_dofs,)).copy()
 
 
-def evaluate(mesh, dofmap, coeffs, points, element=P2):
+def evaluate(mesh, dofmap, coeffs, points):
     """Point evaluation of a finite element function (brute-force location)."""
     geom = TriangleGeometry.from_mesh(mesh)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -245,5 +226,5 @@ def evaluate(mesh, dofmap, coeffs, points, element=P2):
         if len(hits) == 0:
             raise ValueError(f"point {p} lies outside the mesh")
         t = int(hits[0])
-        out[k] = element.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[dofmap.cell_dofs[t]]
+        out[k] = P2.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[dofmap.cell_dofs[t]]
     return out if out.size > 1 else float(out[0])

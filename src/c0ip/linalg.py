@@ -8,6 +8,11 @@ doubles as the positive-definiteness check: a non-positive pivot raises
 factored in place, so a factor holds one buffer of (bw + 1) * n * 8 bytes;
 a band larger than the machine's physical memory raises ``MemoryError``
 before it is allocated.
+
+Fixed dofs (the boundary of V_h, a pinned corner) are eliminated inside the
+factor: ``BandedCholesky(A, fixed)`` factors A restricted to the free dofs,
+and its solves take and return full-length vectors that are zero on the
+fixed dofs.  ``cholesky_solve`` is the one-shot path with a residual report.
 """
 
 from dataclasses import dataclass
@@ -25,8 +30,6 @@ __all__ = [
     "cholesky_solve",
     "cg_solve",
     "constrain",
-    "Expansion",
-    "write_coo_text",
 ]
 
 class PositiveDefiniteError(np.linalg.LinAlgError):
@@ -39,10 +42,13 @@ class PositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    method: str                      # "cholesky" | "cg"
+    method: str                      # "cholesky" | "cg" | "lu"
     iterations: int
     relative_residual: float
     success: bool
+
+
+_TINY = 1e-300
 
 
 def _physical_memory_bytes():
@@ -50,23 +56,30 @@ def _physical_memory_bytes():
 
 
 class BandedCholesky:
-    """Reusable Cholesky factor of a sparse SPD matrix.
+    """Reusable Cholesky factor of a sparse SPD matrix on its free dofs.
 
-    The matrix is permuted by reverse Cuthill-McKee and stored in LAPACK
-    upper band form, a Fortran-ordered array of (bw + 1) * n * 8 bytes that
-    LAPACK factors in place: that one buffer is both the band and the
-    factor.  A band larger than physical memory raises ``MemoryError``
-    before allocation.
+    The rows and columns of ``fixed`` are eliminated first; ``n`` is the
+    number of free dofs that are factored.  The reduced matrix is permuted
+    by reverse Cuthill-McKee and stored in LAPACK upper band form, a
+    Fortran-ordered array of (bw + 1) * n * 8 bytes that LAPACK factors in
+    place: that one buffer is both the band and the factor.  A band larger
+    than physical memory raises ``MemoryError`` before allocation.
+
+    ``solve`` takes a full-length right-hand side and returns a full-length
+    solution that is zero on ``fixed``; the gather of the free dofs and the
+    RCM permutation are one index array.
     """
 
-    def __init__(self, A):
-        A = sp.csr_matrix(A)
+    def __init__(self, A, fixed=()):
+        self.n_full = A.shape[0]
+        A, self.free = constrain(A, fixed)
         n = A.shape[0]
         self.n = n
         if n == 0:
             self._factor = None
             return
         self.perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
+        self._gather = self.free[self.perm]
         Ap = A[self.perm][:, self.perm].tocoo()
         keep = Ap.row <= Ap.col
         rows, cols, vals = Ap.row[keep], Ap.col[keep], Ap.data[keep]
@@ -89,26 +102,27 @@ class BandedCholesky:
         self.bandwidth = bw
 
     def solve(self, b):
+        x = np.zeros(self.n_full)
         if self.n == 0:
-            return np.zeros(0)
+            return x
         b = np.asarray(b, dtype=float)
-        x = np.empty_like(b)
-        xp = sla.cho_solve_banded(
-            (self._factor, False), b[self.perm], check_finite=False
+        x[self._gather] = sla.cho_solve_banded(
+            (self._factor, False), b[self._gather], check_finite=False
         )
-        x[self.perm] = xp
         return x
 
 
-def cholesky_solve(A, b):
-    """Direct SPD solve; returns the solution and a residual report."""
-    b = np.asarray(b, dtype=float)
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return np.zeros_like(b), SolveReport("cholesky", 0, 0.0, True)
-    factor = BandedCholesky(A)
+def cholesky_solve(A, b, fixed=()):
+    """Direct SPD solve with ``fixed`` dofs eliminated (their values are zero).
+
+    Returns the full-length solution and a report of the true relative
+    residual ||A x - b|| / ||b|| over the free rows.
+    """
+    factor = BandedCholesky(A, fixed)
     x = factor.solve(b)
-    rel = float(np.linalg.norm(A @ x - b)) / nb
+    b_free = np.asarray(b, dtype=float)[factor.free]
+    res = float(np.linalg.norm((A @ x)[factor.free] - b_free))
+    rel = res / max(float(np.linalg.norm(b_free)), _TINY)
     return x, SolveReport("cholesky", 0, rel, rel <= 1e-10)
 
 
@@ -157,46 +171,9 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
     return x, SolveReport("cg", it, true_res / nb, res <= tol * nb)
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """Reinserts eliminated dofs into a reduced solution vector."""
-
-    n: int
-    free: np.ndarray
-    fixed: np.ndarray
-    fixed_values: np.ndarray
-
-    def expand(self, x_reduced):
-        x = np.empty(self.n)
-        x[self.free] = x_reduced
-        x[self.fixed] = self.fixed_values
-        return x
-
-
-def constrain(A, b, fixed_dofs, fixed_values=None):
-    """Eliminate fixed dofs symmetrically.
-
-    Returns the reduced matrix and right-hand side (corrected by the
-    fixed-value columns) plus the expansion map.
-    """
-    n = A.shape[0]
-    fixed = np.asarray(fixed_dofs, dtype=np.int64)
-    if fixed_values is None:
-        fixed_values = np.zeros(len(fixed))
-    fixed_values = np.asarray(fixed_values, dtype=float)
-    free = np.setdiff1d(np.arange(n), fixed)
+def constrain(A, fixed_dofs):
+    """Eliminate fixed dofs symmetrically: returns A[free][:, free] and free."""
     A = sp.csr_matrix(A)
-    A_red = A[free][:, free]
-    b_red = np.asarray(b, dtype=float)[free]
-    if len(fixed) and np.any(fixed_values != 0.0):
-        b_red = b_red - A[free][:, fixed] @ fixed_values
-    return A_red, b_red, Expansion(n=n, free=free, fixed=fixed, fixed_values=fixed_values)
-
-
-def write_coo_text(A, path):
-    """Dump a sparse matrix as 'i j value' lines (debugging aid)."""
-    coo = sp.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{int(i)} {int(j)} {float(v)!r}\n")
+    fixed = np.asarray(fixed_dofs, dtype=np.int64)
+    free = np.setdiff1d(np.arange(A.shape[0]), fixed)
+    return (A[free][:, free] if len(fixed) else A), free

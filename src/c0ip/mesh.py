@@ -227,26 +227,22 @@ def build_edges(mesh):
         bad = int(np.argmin(areas2))
         raise MeshError(f"triangle {bad} is degenerate or not counter-clockwise")
 
-    # Conformity bookkeeping on sorted vertex pairs.
-    pair_map = {}
-    for ti, tri in enumerate(tris):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            owners = pair_map.setdefault(key, [])
-            owners.append(ti)
-            if len(owners) > 2:
-                raise MeshError(f"edge {key} shared by more than two triangles")
-
-    keys = sorted(pair_map)
-    ne = len(keys)
-    edge_vertices = np.array(keys, dtype=np.int64)
-    edge_index = {k: i for i, k in enumerate(keys)}
-    t_minus = np.empty(ne, dtype=np.int64)
-    t_plus = np.empty(ne, dtype=np.int64)
-    for i, k in enumerate(keys):
-        owners = sorted(pair_map[k])
-        t_minus[i] = owners[0]
-        t_plus[i] = owners[1] if len(owners) == 2 else -1
+    # Conformity bookkeeping on sorted vertex pairs, one int64 key per
+    # triangle side; side k is the edge opposite local vertex k.
+    nv = np.int64(len(verts))
+    a, b = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+    keys = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    if np.any(counts > 2):
+        key = int(uniq[np.argmax(counts > 2)])
+        raise MeshError(f"edge {divmod(key, int(nv))} shared by more than two triangles")
+    edge_vertices = np.column_stack([uniq // nv, uniq % nv])
+    cell_edges = inverse.reshape(tris.shape)
+    # sides grouped by edge, in ascending triangle order within each edge
+    owner = np.argsort(inverse, kind="stable") // 3
+    first = np.cumsum(counts) - counts
+    t_minus = owner[first]
+    t_plus = np.where(counts == 2, owner[np.minimum(first + 1, len(owner) - 1)], -1)
 
     pa = verts[edge_vertices[:, 0]]
     pb = verts[edge_vertices[:, 1]]
@@ -265,11 +261,6 @@ def build_edges(mesh):
     )
     flip = np.einsum("ij,ij->i", normal, ref) < 0.0
     normal[flip] *= -1.0
-
-    cell_edges = np.empty_like(tris)
-    for ti, tri in enumerate(tris):
-        for loc, (a, b) in enumerate(((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1]))):
-            cell_edges[ti, loc] = edge_index[(int(min(a, b)), int(max(a, b)))]
 
     boundary_flags = np.zeros(len(verts), dtype=bool)
     bedges = edge_vertices[~interior]

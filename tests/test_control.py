@@ -104,6 +104,27 @@ def test_reduced_matches_monolithic(hierarchy, level):
         assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(b), 1e-300)
 
 
+@pytest.mark.parametrize("level", [2, 3])
+def test_monolithic_reports_true_block_residual(hierarchy, level):
+    # the block rows rebuilt from the solution's fields: state and adjoint
+    # equations on V_h, the gradient equation on Q_h
+    prob = ctl.ControlProblem(hierarchy[level], one, u_desired, alpha=0.1)
+    sol = ctl.solve_kkt_monolithic(prob)
+    A, M, f, d, free = prob.A, prob.M, prob.load_f, prob.load_ud, prob.vh_free
+    r = np.concatenate([
+        (A @ sol.u_f_h + A @ sol.q_h - f)[free],
+        (A @ sol.phi_h - M @ sol.u_h + d)[free],
+        prob.alpha * (A @ sol.q_h) + M @ sol.u_h - A @ sol.phi_h - d,
+    ])
+    rel = np.linalg.norm(r) / np.linalg.norm(np.concatenate([f[free], -d[free], d]))
+    rep = sol.report
+    assert rep.method == "lu"
+    assert rep.relative_residual > 0.0
+    # the two sums round differently at this level of residual
+    assert rep.relative_residual == pytest.approx(rel, rel=0.1)
+    assert rep.success == (rep.relative_residual <= 1e-10)
+
+
 def test_objective_trivial_values(hierarchy):
     prob = ctl.ControlProblem(hierarchy[1], zero, zero, alpha=1.0)
     n = prob.dofmap.n_dofs

@@ -62,20 +62,18 @@ def test_interval_quadrature_exactness():
 
 def test_dofmap_counts_two_triangle_square():
     mesh = triangulate_initial(built_in_polygon("unit-square"))
-    qh = build_dofmap(mesh, "Qh")
+    qh = build_dofmap(mesh)
     assert qh.n_dofs == 4 + 5 == 9
-    vh = build_dofmap(mesh, "Vh")
-    assert vh.n_dofs == 9
-    assert len(vh.boundary_dof_ids) == 8
-    assert len(vh.free_dof_ids) == 1
-    # the single free dof is the diagonal midpoint
-    node = vh.nodes[vh.free_dof_ids[0]]
-    assert np.allclose(node, [0.5, 0.5])
+    assert len(qh.boundary_dof_ids) == 8
+    # V_h fixes the boundary dofs; the single free dof is the diagonal midpoint
+    free = np.setdiff1d(np.arange(qh.n_dofs), qh.boundary_dof_ids)
+    assert len(free) == 1
+    assert np.allclose(qh.nodes[free[0]], [0.5, 0.5])
 
 
 def test_dofmap_counts_refined_square():
     mesh = refine_uniform(triangulate_initial(built_in_polygon("unit-square")))
-    qh = build_dofmap(mesh, "Qh")
+    qh = build_dofmap(mesh)
     assert qh.n_dofs == 9 + 16 == 25
 
 
@@ -98,18 +96,6 @@ def test_interpolate_constant_and_linear():
     assert np.allclose(ones, 1.0)
     xs = interpolate(dm, lambda x, y: x)
     assert np.allclose(xs, dm.nodes[:, 0], atol=1e-15)
-
-
-def test_interpolate_vh_zeroes_boundary():
-    mesh = mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
-    dm = build_dofmap(mesh, "Vh")
-    u = lambda x, y: x**2 * (1 - x) ** 2 * y**2 * (1 - y) ** 2
-    coeffs = interpolate(dm, u)
-    assert np.all(coeffs[dm.boundary_dof_ids] == 0.0)
-    interior = dm.free_dof_ids
-    assert np.allclose(
-        coeffs[interior], u(dm.nodes[interior, 0], dm.nodes[interior, 1]), atol=1e-15
-    )
 
 
 def test_interpolation_reproduces_quadratics(rng=np.random.default_rng(3)):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from c0ip import linalg
 from c0ip.c0ip import C0ipParams, assemble_a_h
+from c0ip.cahn_hilliard import default_pin_corner
 from c0ip.cli import main
 from c0ip.fem import build_dofmap
 from c0ip.linalg import (
@@ -15,7 +16,6 @@ from c0ip.linalg import (
     cg_solve,
     cholesky_solve,
     constrain,
-    write_coo_text,
 )
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
@@ -48,13 +48,54 @@ def test_cholesky_rejects_indefinite():
         cholesky_solve(A, np.array([1.0, 1.0]))
 
 
-def _vh_system(domain, level):
-    """a_h restricted to the interior dofs, the V_h system of the clamped plate."""
+def test_cholesky_zero_rhs_still_checks_definiteness():
+    # a zero load is factored like any other, so an indefinite system is
+    # refused whatever the right-hand side
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(PositiveDefiniteError):
+        cholesky_solve(A, np.zeros(2))
+
+
+def _a_h(domain, level):
+    """a_h on Q_h, with its mesh and dof map."""
     mesh = mesh_hierarchy(built_in_polygon(domain), level)[level]
     dm = build_dofmap(mesh)
-    A = assemble_a_h(mesh, dm, C0ipParams())
-    interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
-    return A[interior][:, interior].tocsr()
+    return assemble_a_h(mesh, dm, C0ipParams()), mesh, dm
+
+
+def _vh_system(domain, level):
+    """a_h restricted to the interior dofs, the V_h system of the clamped plate."""
+    A, _, dm = _a_h(domain, level)
+    return constrain(A, dm.boundary_dof_ids)[0]
+
+
+@pytest.mark.parametrize("system", ["vh", "pinned"])
+def test_fixed_dofs_bit_identical_to_explicit_elimination(
+    system, rng=np.random.default_rng(5)
+):
+    # the factor gathers b[free[perm]] where the explicit path gathered
+    # b[free] and then permuted: the same entries, so the same bits
+    A, mesh, dm = _a_h("hexagon", 4)
+    fixed = dm.boundary_dof_ids if system == "vh" else [default_pin_corner(mesh)]
+    b = rng.standard_normal(dm.n_dofs)
+    free = np.setdiff1d(np.arange(dm.n_dofs), fixed)
+    expected = np.zeros(dm.n_dofs)
+    expected[free] = BandedCholesky(A[free][:, free]).solve(b[free])
+    F = BandedCholesky(A, fixed)
+    assert F.n == len(free)
+    assert np.array_equal(F.solve(b), expected)
+
+
+def test_banded_solve_is_zero_on_fixed_dofs():
+    A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+    b = np.array([5.0, 1.0, 0.0])
+    x = BandedCholesky(A, [0]).solve(b)
+    assert x.shape == (3,) and x[0] == 0.0
+    r = (A @ x - b)[1:]
+    assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b[1:])
+    x_once, rep = cholesky_solve(A, b, [0])
+    assert np.array_equal(x_once, x)
+    assert rep.relative_residual <= 1e-10 and rep.success
 
 
 def test_cholesky_on_vh_system(rng=np.random.default_rng(1)):
@@ -167,41 +208,22 @@ def test_cg_cholesky_cross_oracle(rng=np.random.default_rng(2)):
 
 def test_constrain_fix_all():
     A = sp.identity(3, format="csr")
-    b = np.ones(3)
-    A_red, b_red, expand = constrain(A, b, [0, 1, 2], [4.0, 5.0, 6.0])
+    A_red, free = constrain(A, [0, 1, 2])
     assert A_red.shape == (0, 0)
-    assert b_red.size == 0
-    assert np.allclose(expand.expand(np.zeros(0)), [4.0, 5.0, 6.0])
+    assert free.size == 0
+    assert np.array_equal(BandedCholesky(A, [0, 1, 2]).solve(np.ones(3)), np.zeros(3))
 
 
 def test_constrain_fix_none():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    b = np.array([1.0, 2.0])
-    A_red, b_red, expand = constrain(A, b, [])
+    A_red, free = constrain(A, [])
     assert np.allclose(A_red.toarray(), A.toarray())
-    assert np.allclose(b_red, b)
-    assert np.allclose(expand.expand(b_red), b)
+    assert np.array_equal(free, [0, 1])
 
 
 def test_constrain_matches_hand_elimination():
-    # Poisson-like 3x3 with a Dirichlet value at dof 0
+    # Poisson-like 3x3 with a homogeneous Dirichlet value at dof 0
     A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
-    b = np.array([0.0, 1.0, 0.0])
-    A_red, b_red, expand = constrain(A, b, [0], [3.0])
+    A_red, free = constrain(A, [0])
     assert np.allclose(A_red.toarray(), [[2.0, -1.0], [-1.0, 2.0]])
-    # hand elimination: b_1 gains +1 * 3 from the (-1) coupling
-    assert np.allclose(b_red, [1.0 + 3.0, 0.0])
-    x = np.linalg.solve(A_red.toarray(), b_red)
-    full = expand.expand(x)
-    assert full[0] == 3.0
-    # the reduced solution solves the constrained equations
-    assert np.allclose((A @ full)[1:], b[1:])
-
-
-def test_write_coo_text_roundtrip(tmp_path):
-    A = sp.csr_matrix(np.array([[1.5, 0.0], [2.5, -3.0]]))
-    path = tmp_path / "mat.txt"
-    write_coo_text(A, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    got = {(int(i), int(j)): float(v) for i, j, v in rows}
-    assert got == {(0, 0): 1.5, (1, 0): 2.5, (1, 1): -3.0}
+    assert np.array_equal(free, [1, 2])

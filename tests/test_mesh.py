@@ -211,6 +211,42 @@ def test_nonconforming_mesh_rejected():
         build_edges(Triangulation(polygon=poly, vertices=verts, triangles=tris, level=0))
 
 
+def _loop_edge_topology(tris):
+    """Edge tables by a dict over triangle sides: the reference for build_edges."""
+    owners = {}
+    for ti, tri in enumerate(tris.tolist()):
+        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
+            owners.setdefault((min(a, b), max(a, b)), []).append(ti)
+    keys = sorted(owners)
+    index = {k: i for i, k in enumerate(keys)}
+    t_minus = [owners[k][0] for k in keys]
+    t_plus = [owners[k][1] if len(owners[k]) == 2 else -1 for k in keys]
+    cell_edges = [
+        [index[(min(a, b), max(a, b))] for a, b in ((t[1], t[2]), (t[2], t[0]), (t[0], t[1]))]
+        for t in tris.tolist()
+    ]
+    return np.array(keys), np.array(t_minus), np.array(t_plus), np.array(cell_edges)
+
+
+@pytest.mark.parametrize("domain", sorted(BUILT_IN_DOMAINS))
+def test_edge_topology_matches_loop_reference(domain):
+    for mesh in mesh_hierarchy(built_in_polygon(domain), 3):
+        got = (mesh.edge_vertices, mesh.edge_t_minus, mesh.edge_t_plus, mesh.cell_edges)
+        for a, b in zip(got, _loop_edge_topology(mesh.triangles)):
+            assert np.array_equal(a, b)
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    from c0ip.mesh import Triangulation, build_edges
+
+    poly = built_in_polygon("unit-square")
+    # three counter-clockwise triangles on the same side (0, 1)
+    verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]], dtype=float)
+    tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more than two"):
+        build_edges(Triangulation(polygon=poly, vertices=verts, triangles=tris, level=0))
+
+
 def test_load_polygon_roundtrip(tmp_path):
     path = tmp_path / "poly.txt"
     path.write_text("# a square\n0 0\n2 0\n2 2\n0 2\n")

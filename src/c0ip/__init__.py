@@ -8,7 +8,7 @@ Cahn-Hilliard type boundary conditions, plus convergence-study tooling.
 __version__ = "0.1.0"
 
 from .c0ip import (
-    C0ipParams,
+    Discretization,
     assemble_a_h,
     assemble_boundary_load,
     assemble_load,
@@ -20,12 +20,11 @@ from .control import (
     ControlProblem,
     KktSolution,
     forward_solve,
-    lift,
     objective,
     solve_kkt,
     solve_kkt_monolithic,
 )
-from .fem import DofMap, P2, QuadratureRule, build_dofmap, eval_basis, interpolate
+from .fem import DofMap, P2, QuadratureRule, build_dofmap, interpolate
 from .linalg import (
     PositiveDefiniteError,
     SolveReport,
@@ -46,11 +45,11 @@ from .study import ConvergenceReport, ManufacturedCase, eoc, run_study
 
 __all__ = [
     "__version__",
-    "C0ipParams",
     "ChProblem",
     "ChSolution",
     "ControlProblem",
     "ConvergenceReport",
+    "Discretization",
     "DofMap",
     "KktSolution",
     "ManufacturedCase",
@@ -70,10 +69,8 @@ __all__ = [
     "constrain",
     "build_dofmap",
     "eoc",
-    "eval_basis",
     "forward_solve",
     "interpolate",
-    "lift",
     "load_polygon",
     "matrix_norms",
     "mesh_hierarchy",

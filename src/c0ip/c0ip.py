@@ -12,18 +12,23 @@ consistency: ``consistency_sign=-1`` (default) gives exact Galerkin
 orthogonality for smooth solutions, ``+1`` flips both coupling terms.
 Either sign yields a symmetric form whose definiteness on the constrained
 spaces is verified empirically (see the property test suite).
+
+A ``Discretization`` is this method on one mesh: it owns the geometry, the
+dof map, sigma and the coupling sign, and keeps the stiffness, mass and
+norm matrices once assembled.  Every assembler takes it.
 """
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import P2, QuadratureRule, TriangleGeometry
+from .fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
 
 __all__ = [
-    "C0ipParams",
+    "Discretization",
     "NORM_NAMES",
     "assemble_a_h",
     "assemble_mass",
@@ -44,9 +49,15 @@ _EDGE_RULE = QuadratureRule.interval(9)
 NORM_NAMES = ("l2", "h", "energy", "qh")
 
 
-@dataclass(frozen=True)
-class C0ipParams:
-    """Penalty weight and edge-coupling sign of the interior penalty form.
+class Discretization:
+    """The interior penalty discretization of one mesh.
+
+    Holds the P2 geometry and dof map, the penalty weight and the
+    edge-coupling sign.  ``A`` (the form a_h), ``M`` (the mass matrix) and
+    the two norm matrices are assembled the first time each is used and
+    kept.  Edge tables are rebuilt for each assembly and never kept: at
+    hexagon level 7 they take 66 MB, which would stay alive while ``A`` is
+    factored.
 
     The default sigma = 10 keeps the constrained systems positive definite
     on every built-in domain at every tested level; the observed coercivity
@@ -54,14 +65,36 @@ class C0ipParams:
     triangles (hexagon, pentagon150), so 5 is not enough there.
     """
 
-    sigma: float = 10.0
-    consistency_sign: int = -1
-
-    def __post_init__(self):
-        if not self.sigma >= 1.0:
-            raise ValueError(f"penalty parameter sigma must be >= 1, got {self.sigma}")
-        if self.consistency_sign not in (-1, 1):
+    def __init__(self, mesh, sigma=10.0, consistency_sign=-1):
+        if not sigma >= 1.0:
+            raise ValueError(f"penalty parameter sigma must be >= 1, got {sigma}")
+        if consistency_sign not in (-1, 1):
             raise ValueError("consistency_sign must be -1 or +1")
+        if mesh.edge_vertices is None:
+            raise ValueError("mesh has no edge topology; call build_edges first")
+        self.mesh = mesh
+        self.sigma = sigma
+        self.consistency_sign = consistency_sign
+        self.geom = TriangleGeometry.from_mesh(mesh)
+        self.dofmap = build_dofmap(mesh)
+
+    @cached_property
+    def A(self):
+        return assemble_a_h(self)
+
+    @cached_property
+    def M(self):
+        return assemble_mass(self)
+
+    @cached_property
+    def norm_h(self):
+        """Matrix of the squared h-norm: broken Laplacian plus the penalty."""
+        return assemble_volume_norm_matrix(self) + assemble_penalty_matrix(self)
+
+    @cached_property
+    def norm_mean(self):
+        """Matrix of the |e|-weighted squared Laplacian means."""
+        return assemble_mean_norm_matrix(self)
 
 
 @dataclass(frozen=True)
@@ -86,14 +119,13 @@ def edge_points(mesh, edges, rule):
     return pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
 
 
-def edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=None):
+def edge_side_data(disc, rule=_EDGE_RULE):
     """Edge-side evaluation tables: (boundary, interior_minus, interior_plus).
 
     Quadrature points run along each edge from its lower to its higher
     vertex index, so the two sides of an interior edge share physical points.
     """
-    if geom is None:
-        geom = TriangleGeometry.from_mesh(mesh)
+    mesh, geom = disc.mesh, disc.geom
     lap = geom.laplacians()
 
     boundary = mesh.is_boundary_edge
@@ -112,7 +144,7 @@ def edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=None):
         groups.append(
             EdgeSideGroup(
                 edges=edges,
-                dofs=dofmap.cell_dofs[tri_ids],
+                dofs=disc.dofmap.cell_dofs[tri_ids],
                 dn=dn,
                 lap=lap[tri_ids],
                 length=mesh.edge_length[edges],
@@ -151,21 +183,20 @@ def _volume_blocks(geom):
     return np.einsum("t,ti,tj->tij", geom.area, lap, lap)
 
 
-def assemble_volume_norm_matrix(mesh, dofmap, geom=None):
+def assemble_volume_norm_matrix(disc):
     """Matrix of the broken Laplacian product sum_T (Lap v, Lap w)_T."""
-    if geom is None:
-        geom = TriangleGeometry.from_mesh(mesh)
-    out = _CooBuilder(dofmap.n_dofs)
-    out.add_blocks(dofmap.cell_dofs, dofmap.cell_dofs, _volume_blocks(geom))
+    cell_dofs = disc.dofmap.cell_dofs
+    out = _CooBuilder(disc.dofmap.n_dofs)
+    out.add_blocks(cell_dofs, cell_dofs, _volume_blocks(disc.geom))
     return out.tocsr()
 
 
-def _edge_blocks(params, groups, include_volume_pairing=True):
+def _edge_blocks(disc, groups, include_volume_pairing=True):
     """Penalty plus (optionally) mean-jump coupling blocks for every side pair."""
     bnd, im, ip = groups
     w = _EDGE_RULE.weights
-    sign = float(params.consistency_sign)
-    sigma = params.sigma
+    sign = float(disc.consistency_sign)
+    sigma = disc.sigma
     pieces = []
 
     def pen(a, b):
@@ -189,31 +220,29 @@ def _edge_blocks(params, groups, include_volume_pairing=True):
     return pieces
 
 
-def assemble_a_h(mesh, dofmap, params):
+def assemble_a_h(disc):
     """The interior penalty bilinear form as a sparse symmetric matrix."""
-    if mesh.edge_vertices is None:
-        raise ValueError("mesh has no edge topology; call build_edges first")
-    geom = TriangleGeometry.from_mesh(mesh)
-    out = _CooBuilder(dofmap.n_dofs)
-    out.add_blocks(dofmap.cell_dofs, dofmap.cell_dofs, _volume_blocks(geom))
-    for rd, cd, blk in _edge_blocks(params, edge_side_data(mesh, dofmap, geom=geom)):
+    cell_dofs = disc.dofmap.cell_dofs
+    out = _CooBuilder(disc.dofmap.n_dofs)
+    out.add_blocks(cell_dofs, cell_dofs, _volume_blocks(disc.geom))
+    for rd, cd, blk in _edge_blocks(disc, edge_side_data(disc)):
         out.add_blocks(rd, cd, blk)
     return out.tocsr()
 
 
-def assemble_penalty_matrix(mesh, dofmap, params):
+def assemble_penalty_matrix(disc):
     """Only the sigma/|e| jump penalty part (the edge part of the h-norm)."""
-    out = _CooBuilder(dofmap.n_dofs)
-    groups = edge_side_data(mesh, dofmap)
-    for rd, cd, blk in _edge_blocks(params, groups, include_volume_pairing=False):
+    out = _CooBuilder(disc.dofmap.n_dofs)
+    groups = edge_side_data(disc)
+    for rd, cd, blk in _edge_blocks(disc, groups, include_volume_pairing=False):
         out.add_blocks(rd, cd, blk)
     return out.tocsr()
 
 
-def assemble_mean_norm_matrix(mesh, dofmap):
+def assemble_mean_norm_matrix(disc):
     """Matrix of sum_e |e| || mean(Lap v) ||_e^2 (edge part of the Q_h norm)."""
-    out = _CooBuilder(dofmap.n_dofs)
-    bnd, im, ip = edge_side_data(mesh, dofmap)
+    out = _CooBuilder(disc.dofmap.n_dofs)
+    bnd, im, ip = edge_side_data(disc)
     pairs = [(bnd, bnd, 1.0), (im, im, 0.25), (im, ip, 0.25), (ip, im, 0.25), (ip, ip, 0.25)]
     for a, b, ww in pairs:
         # mean is constant along the edge: |e| * int_e mean*mean = |e|^2 * product
@@ -222,14 +251,14 @@ def assemble_mean_norm_matrix(mesh, dofmap):
     return out.tocsr()
 
 
-def assemble_mass(mesh, dofmap):
+def assemble_mass(disc):
     """P2 mass matrix."""
-    geom = TriangleGeometry.from_mesh(mesh)
     vals = P2.values(_TRI_RULE.points)                  # (Q, 6)
     mref = np.einsum("q,qi,qj->ij", _TRI_RULE.weights, vals, vals)
-    blocks = 2.0 * geom.area[:, None, None] * mref
-    out = _CooBuilder(dofmap.n_dofs)
-    out.add_blocks(dofmap.cell_dofs, dofmap.cell_dofs, blocks)
+    blocks = 2.0 * disc.geom.area[:, None, None] * mref
+    cell_dofs = disc.dofmap.cell_dofs
+    out = _CooBuilder(disc.dofmap.n_dofs)
+    out.add_blocks(cell_dofs, cell_dofs, blocks)
     return out.tocsr()
 
 
@@ -258,36 +287,36 @@ def boundary_values(g2, mesh, edges, pts):
     return _field_values(g2, pts[..., 0], pts[..., 1], *normal)
 
 
-def assemble_load(mesh, dofmap, f):
+def assemble_load(disc, f):
     """Load vector b_i = int_Omega f N_i by triangle quadrature."""
-    geom = TriangleGeometry.from_mesh(mesh)
+    geom = disc.geom
     pts = geom.to_physical(_TRI_RULE.points)            # (nt, Q, 2)
     fv = _field_values(f, pts[..., 0], pts[..., 1])
     vals = P2.values(_TRI_RULE.points)
     contrib = 2.0 * geom.area[:, None] * np.einsum("q,tq,qb->tb", _TRI_RULE.weights, fv, vals)
-    b = np.zeros(dofmap.n_dofs)
-    np.add.at(b, dofmap.cell_dofs, contrib)
+    b = np.zeros(disc.dofmap.n_dofs)
+    np.add.at(b, disc.dofmap.cell_dofs, contrib)
     return b
 
 
-def assemble_boundary_load(mesh, dofmap, g2):
+def assemble_boundary_load(disc, g2):
     """Boundary functional b_i = sum_{boundary edges} int_e g2 N_i ds.
 
     ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
     """
-    geom = TriangleGeometry.from_mesh(mesh)
+    mesh = disc.mesh
     edges = np.flatnonzero(mesh.is_boundary_edge)
-    b = np.zeros(dofmap.n_dofs)
+    b = np.zeros(disc.dofmap.n_dofs)
     if len(edges) == 0:
         return b
     pts = edge_points(mesh, edges, _EDGE_RULE)
     gv = boundary_values(g2, mesh, edges, pts)
     tri_ids = mesh.edge_t_minus[edges]
-    vals = P2.values(geom.to_reference(tri_ids[:, None], pts))  # (ne, Q, 6)
+    vals = P2.values(disc.geom.to_reference(tri_ids[:, None], pts))  # (ne, Q, 6)
     contrib = mesh.edge_length[edges][:, None] * np.einsum(
         "q,eq,eqb->eb", _EDGE_RULE.weights, gv, vals
     )
-    np.add.at(b, dofmap.cell_dofs[tri_ids], contrib)
+    np.add.at(b, disc.dofmap.cell_dofs[tri_ids], contrib)
     return b
 
 
@@ -302,20 +331,17 @@ def combine_norms(norms, l2sq, hsq, meansq):
     return {n: float(np.sqrt(max(sum(parts[n]), 0.0))) for n in norms}
 
 
-def matrix_norms(v, mesh, dofmap, params, norms):
+def matrix_norms(v, disc, norms):
     """Norms of the finite element function ``v``, as {name: value}.
 
-    Each norm matrix is assembled at most once per call; ``norms`` is any
-    subset of ``NORM_NAMES``.
+    The norm matrices are those ``disc`` keeps, so each is assembled once
+    per discretization; ``norms`` is any subset of ``NORM_NAMES``.
     """
     l2sq = hsq = meansq = None
     if "l2" in norms or "energy" in norms:
-        l2sq = float(v @ (assemble_mass(mesh, dofmap) @ v))
+        l2sq = float(v @ (disc.M @ v))
     if any(n in norms for n in ("h", "energy", "qh")):
-        Nh = assemble_volume_norm_matrix(mesh, dofmap) + assemble_penalty_matrix(
-            mesh, dofmap, params
-        )
-        hsq = float(v @ (Nh @ v))
+        hsq = float(v @ (disc.norm_h @ v))
     if "qh" in norms:
-        meansq = float(v @ (assemble_mean_norm_matrix(mesh, dofmap) @ v))
+        meansq = float(v @ (disc.norm_mean @ v))
     return combine_norms(norms, l2sq, hsq, meansq)

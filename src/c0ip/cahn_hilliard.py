@@ -7,9 +7,10 @@ data must satisfy the compatibility condition
 
     int_Omega g1 dx = int_{boundary} g2 ds,
 
-which the problem constructor checks with high-order quadrature.  The pinned
-corner is eliminated inside the factor (``cholesky_solve`` with that dof
-fixed), which returns the full-length solution, zero at the corner.
+which the problem constructor checks with high-order quadrature.  A problem
+is posed on a ``Discretization``, whose stiffness matrix the solve factors.
+The pinned corner is eliminated inside the factor (``cholesky_solve`` with
+that dof fixed), which returns the full-length solution, zero at the corner.
 """
 
 import warnings
@@ -17,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .c0ip import (
-    C0ipParams,
-    assemble_a_h,
-    assemble_boundary_load,
-    assemble_load,
-    boundary_values,
-    edge_points,
-)
-from .fem import QuadratureRule, TriangleGeometry, build_dofmap
+from .c0ip import assemble_boundary_load, assemble_load, boundary_values, edge_points
+from .fem import QuadratureRule
 from .linalg import SolveReport, cholesky_solve
 
 __all__ = [
@@ -64,8 +58,7 @@ def _boundary_integral(mesh, g2, rule):
     return float(line), float(np.sqrt(max(l2sq, 0.0)))
 
 
-def _volume_integral(mesh, g1, rule):
-    geom = TriangleGeometry.from_mesh(mesh)
+def _volume_integral(geom, g1, rule):
     pts = geom.to_physical(rule.points)
     gv = np.broadcast_to(
         np.asarray(g1(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
@@ -76,14 +69,13 @@ def _volume_integral(mesh, g1, rule):
 
 
 class ChProblem:
-    """Source/flux data on a mesh, with corner pinning and validated data."""
+    """Source/flux data on a discretization, with corner pinning and validated data."""
 
-    def __init__(self, mesh, g1, g2, params=None, pinned_corner=None):
-        self.mesh = mesh
+    def __init__(self, disc, g1, g2, pinned_corner=None):
+        mesh = disc.mesh
+        self.disc = disc
         self.g1 = g1
         self.g2 = g2
-        self.params = params or C0ipParams()
-        self.dofmap = build_dofmap(mesh)
         self.pinned_corner = (
             default_pin_corner(mesh) if pinned_corner is None else int(pinned_corner)
         )
@@ -92,7 +84,7 @@ class ChProblem:
                 f"pinned vertex {self.pinned_corner} is not a polygon corner"
             )
 
-        vol, g1_norm = _volume_integral(mesh, g1, _CHECK_TRI_RULE)
+        vol, g1_norm = _volume_integral(disc.geom, g1, _CHECK_TRI_RULE)
         line, g2_norm = _boundary_integral(mesh, g2, _CHECK_EDGE_RULE)
         self.compatibility_defect = vol - line
         self._data_scale = g1_norm + g2_norm + 1.0
@@ -118,10 +110,10 @@ class ChSolution:
 
 def solve_ch(problem):
     """Solve the corner-pinned discrete problem by direct factorization."""
-    mesh, dofmap = problem.mesh, problem.dofmap
-    A = assemble_a_h(mesh, dofmap, problem.params)
-    b = assemble_load(mesh, dofmap, problem.g1)
-    b -= assemble_boundary_load(mesh, dofmap, problem.g2)
+    disc = problem.disc
+    A = disc.A
+    b = assemble_load(disc, problem.g1)
+    b -= assemble_boundary_load(disc, problem.g2)
     # vertex dofs come first, so the pinned dof id is the vertex id
     psi, report = cholesky_solve(A, b, [problem.pinned_corner])
     return ChSolution(psi_h=psi, report=report)

@@ -67,7 +67,8 @@ class RunConfig:
         return self.output or f"{self.problem}.csv"
 
 
-def _parse_levels(text, lineno):
+def _parse_levels(text, where):
+    """Level range from ``text``; errors name ``where`` it came from."""
     text = text.strip()
     try:
         if ".." in text:
@@ -76,9 +77,9 @@ def _parse_levels(text, lineno):
         else:
             lo = hi = int(text)
     except ValueError:
-        raise ConfigError(f"line {lineno}: levels must be 'a..b' or an integer") from None
+        raise ConfigError(f"{where}: levels must be 'a..b' or an integer") from None
     if not (1 <= lo <= hi <= 7):
-        raise ConfigError(f"line {lineno}: levels must lie within [1, 7]")
+        raise ConfigError(f"{where}: levels must lie within [1, 7]")
     return tuple(range(lo, hi + 1))
 
 
@@ -115,7 +116,7 @@ def parse_config(text):
         raise ConfigError(
             f"line {linenos['problem']}: problem must be one of {', '.join(PROBLEMS)}"
         )
-    levels = _parse_levels(values["levels"], linenos["levels"])
+    levels = _parse_levels(values["levels"], f"line {linenos['levels']}")
 
     sigma = 10.0
     if "sigma" in values:
@@ -350,7 +351,7 @@ def main(argv=None):
         return _list_cases()
     if args.command == "check-mesh":
         try:
-            levels = _parse_levels(args.levels, 0)
+            levels = _parse_levels(args.levels, "argument levels")
             return _check_mesh(args.domain, levels)
         except (ConfigError, MeshError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -5,13 +5,13 @@ full P2 space.  The optimality system is solved in reduced form: eliminating
 state and adjoint through direct inner solves leaves a symmetric positive
 definite operator on the control space,
 
-    H q = alpha A q + T' M T q,        T q = lift(q),
+    H q = alpha A q + T' M T q,        T q = lift_apply(q),
 
-which is driven by preconditioned CG (preconditioner alpha A + M).  The
-inner V_h solves use one factor of A with the boundary dofs fixed inside
-it; its solves take and return full-length vectors, zero on the boundary.
-The assembled three-by-three block system is kept as an independent
-cross-check.
+which is driven by preconditioned CG (preconditioner alpha A + M).  A and
+M are those of the problem's ``Discretization``.  The inner V_h solves use
+one factor of A with the boundary dofs fixed inside it; its solves take and
+return full-length vectors, zero on the boundary.  The assembled
+three-by-three block system is kept as an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -21,15 +21,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .c0ip import C0ipParams, assemble_a_h, assemble_load, assemble_mass
-from .fem import QuadratureRule, TriangleGeometry, build_dofmap
+from .c0ip import assemble_load
+from .fem import QuadratureRule
 from .linalg import BandedCholesky, SolveReport, cg_solve
 
 __all__ = [
     "ControlProblem",
     "KktSolution",
     "forward_solve",
-    "lift",
     "solve_kkt",
     "solve_kkt_monolithic",
     "objective",
@@ -44,44 +43,38 @@ _TINY = 1e-300
 class ControlProblem:
     """Data and assembled operators of one discrete control problem."""
 
-    def __init__(self, mesh, f, u_d, alpha, params=None):
+    def __init__(self, disc, f, u_d, alpha):
         if not alpha > 0.0:
             raise ValueError(f"regularization parameter alpha must be > 0, got {alpha}")
-        self.mesh = mesh
+        self.disc = disc
         self.f = f
         self.u_d = u_d
         self.alpha = float(alpha)
-        self.params = params or C0ipParams()
-        self.dofmap = build_dofmap(mesh)
+        dofmap = disc.dofmap
         # V_h is Q_h minus the boundary dofs
-        self.vh_free = np.setdiff1d(
-            np.arange(self.dofmap.n_dofs), self.dofmap.boundary_dof_ids
+        self.vh_free = np.setdiff1d(np.arange(dofmap.n_dofs), dofmap.boundary_dof_ids)
+        self.A = disc.A
+        self.M = disc.M
+        self.load_f = assemble_load(disc, f)
+        self.load_ud = assemble_load(disc, u_d)
+        # the constant part of the tracking term; its degree-16 quadrature
+        # runs here, before any factor holds memory
+        rule = QuadratureRule.triangle(16)
+        pts = disc.geom.to_physical(rule.points)
+        vals = np.broadcast_to(
+            np.asarray(u_d(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
         )
-        self.A = assemble_a_h(mesh, self.dofmap, self.params)
-        self.M = assemble_mass(mesh, self.dofmap)
-        self.load_f = assemble_load(mesh, self.dofmap, f)
-        self.load_ud = assemble_load(mesh, self.dofmap, u_d)
+        self.ud_sq_integral = float(2.0 * disc.geom.area @ (vals**2 @ rule.weights))
 
     @cached_property
     def state_factor(self):
         """Cholesky factor of the stiffness matrix on V_h (boundary dofs fixed)."""
-        return BandedCholesky(self.A, self.dofmap.boundary_dof_ids)
+        return BandedCholesky(self.A, self.disc.dofmap.boundary_dof_ids)
 
     @cached_property
     def precond_factor(self):
         """Cholesky factor of alpha A + M (reduced-space preconditioner)."""
         return BandedCholesky(self.alpha * self.A + self.M)
-
-    @cached_property
-    def ud_sq_integral(self):
-        """Integral of u_d^2, the constant part of the tracking term."""
-        rule = QuadratureRule.triangle(16)
-        geom = TriangleGeometry.from_mesh(self.mesh)
-        pts = geom.to_physical(rule.points)
-        vals = np.broadcast_to(
-            np.asarray(self.u_d(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-        )
-        return float(2.0 * geom.area @ (vals**2 @ rule.weights))
 
     # -- V_h solves ---------------------------------------------------------
 
@@ -100,11 +93,6 @@ def forward_solve(problem, p_h=None):
     if p_h is not None:
         rhs -= problem.A @ p_h
     return problem.state_factor.solve(rhs)
-
-
-def lift(problem, p_h):
-    """Discretely a-harmonic extension of p through the homogeneous solve."""
-    return problem.lift_apply(p_h)
 
 
 def reduced_hessian_apply(problem, q):
@@ -186,13 +174,9 @@ def _finish(problem, q, report):
 
 def solve_kkt(problem, tol=1e-10, max_iter=2000):
     """Reduced-space solve of the discrete optimality system."""
-    b = _reduced_rhs(problem)
-    if np.linalg.norm(b) == 0.0:
-        # zero data: the system is uniquely solved by the zero triple
-        return _finish(problem, np.zeros(problem.dofmap.n_dofs), SolveReport("cg", 0, 0.0, True))
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),
-        b,
+        _reduced_rhs(problem),
         tol=tol,
         max_iter=max_iter,
         precond=problem.precond_factor.solve,
@@ -235,7 +219,7 @@ def solve_kkt_monolithic(problem):
     )
     sol = spla.spsolve(K, rhs)
     nf = len(free)
-    n = problem.dofmap.n_dofs
+    n = problem.disc.dofmap.n_dofs
     u_f = np.zeros(n)
     u_f[free] = sol[:nf]
     q = sol[nf : nf + n]

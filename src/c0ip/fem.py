@@ -17,7 +17,6 @@ __all__ = [
     "QuadratureRule",
     "TriangleGeometry",
     "DofMap",
-    "eval_basis",
     "build_dofmap",
     "interpolate",
     "evaluate",
@@ -81,12 +80,6 @@ class ReferenceElement:
 
 
 P2 = ReferenceElement()
-
-
-def eval_basis(element, point):
-    """Values, gradients, and (constant) Hessians of all shape functions."""
-    pt = np.asarray(point, dtype=float)
-    return element.values(pt), element.gradients(pt), element.hessians.copy()
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ bilinear form needs.  All meshes are immutable after construction.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Polygon",
-    "Edge",
     "Triangulation",
     "MeshError",
     "built_in_polygon",
@@ -67,18 +65,6 @@ class Polygon:
         return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
 
 
-class Edge(NamedTuple):
-    """Record view of one mesh edge."""
-
-    vertex_ids: tuple
-    length: float
-    kind: str              # "interior" | "boundary"
-    t_minus: int
-    t_plus: int            # -1 on boundary edges
-    normal: np.ndarray     # interior: unit normal from T- into T+; boundary: outward
-    midpoint: np.ndarray
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """Conforming triangulation with oriented edge topology.
@@ -95,7 +81,7 @@ class Triangulation:
     edge_vertices: np.ndarray = field(default=None)   # (ne, 2), sorted pairs
     edge_t_minus: np.ndarray = field(default=None)    # (ne,)
     edge_t_plus: np.ndarray = field(default=None)     # (ne,), -1 on boundary
-    edge_normal: np.ndarray = field(default=None)     # (ne, 2)
+    edge_normal: np.ndarray = field(default=None)     # (ne, 2), T- into T+; outward on boundary
     edge_length: np.ndarray = field(default=None)
     edge_midpoint: np.ndarray = field(default=None)
     cell_edges: np.ndarray = field(default=None)      # (nt, 3), edge opposite local vertex
@@ -129,19 +115,6 @@ class Triangulation:
         d1 = v[t[:, 1]] - v[t[:, 0]]
         d2 = v[t[:, 2]] - v[t[:, 0]]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def edge(self, i):
-        """Edge record for edge index ``i``."""
-        tp = int(self.edge_t_plus[i])
-        return Edge(
-            vertex_ids=(int(self.edge_vertices[i, 0]), int(self.edge_vertices[i, 1])),
-            length=float(self.edge_length[i]),
-            kind="boundary" if tp < 0 else "interior",
-            t_minus=int(self.edge_t_minus[i]),
-            t_plus=tp,
-            normal=self.edge_normal[i].copy(),
-            midpoint=self.edge_midpoint[i].copy(),
-        )
 
     def __str__(self):
         return (

@@ -17,15 +17,14 @@ from . import cahn_hilliard as ch
 from . import control as ctl
 from .c0ip import (
     NORM_NAMES,
-    C0ipParams,
-    assemble_a_h,
+    Discretization,
     assemble_load,
     combine_norms,
     edge_points,
     edge_side_data,
     matrix_norms,
 )
-from .fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
+from .fem import P2, QuadratureRule
 from .linalg import cholesky_solve
 from .mesh import built_in_polygon, mesh_hierarchy
 
@@ -190,19 +189,20 @@ def get_case(name):
 # error norms against exact fields
 # ---------------------------------------------------------------------------
 
-def error_l2(v, exact_value, mesh, dofmap):
+def error_l2(v, exact_value, disc):
     """L2 norm of v_h minus the exact field, by triangle quadrature."""
-    geom = TriangleGeometry.from_mesh(mesh)
+    geom = disc.geom
     pts = geom.to_physical(_TRI_RULE.points)
-    vh = v[dofmap.cell_dofs] @ P2.values(_TRI_RULE.points).T
+    vh = v[disc.dofmap.cell_dofs] @ P2.values(_TRI_RULE.points).T
     diff = vh - exact_value(pts[..., 0], pts[..., 1])
     return float(np.sqrt(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights)))
 
 
-def _error_h_sq(v, exact, mesh, dofmap, params, geom, groups):
+def _error_h_sq(v, exact, disc, groups):
     """Squared h-norm error: broken Laplacian part plus sigma-weighted jumps."""
+    mesh, geom = disc.mesh, disc.geom
     pts = geom.to_physical(_TRI_RULE.points)
-    lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[dofmap.cell_dofs])
+    lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[disc.dofmap.cell_dofs])
     diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
     vol = float(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights))
 
@@ -220,7 +220,7 @@ def _error_h_sq(v, exact, mesh, dofmap, params, geom, groups):
     jump_i = np.einsum("eiq,ei->eq", im.dn, v[im.dofs]) + np.einsum(
         "eiq,ei->eq", ip.dn, v[ip.dofs]
     )
-    edge = params.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
+    edge = disc.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
     return vol + edge
 
 
@@ -244,24 +244,23 @@ def _error_mean_sq(v, exact, mesh, groups):
     return total
 
 
-def _exact_errors(v, exact, mesh, dofmap, params, norms):
+def _exact_errors(v, exact, disc, norms):
     """Errors of v_h against the exact fields, each squared piece computed once."""
     l2sq = hsq = meansq = None
     if "l2" in norms or "energy" in norms:
         # squaring is exact to undo: sqrt(x**2) == x in binary floating point
-        l2sq = error_l2(v, exact.value, mesh, dofmap) ** 2
+        l2sq = error_l2(v, exact.value, disc) ** 2
     if any(n in norms for n in ("h", "energy", "qh")):
-        geom = TriangleGeometry.from_mesh(mesh)
-        groups = edge_side_data(mesh, dofmap, rule=_EDGE_RULE, geom=geom)
-        hsq = _error_h_sq(v, exact, mesh, dofmap, params, geom, groups)
+        groups = edge_side_data(disc, rule=_EDGE_RULE)
+        hsq = _error_h_sq(v, exact, disc, groups)
         if "qh" in norms:
-            meansq = _error_mean_sq(v, exact, mesh, groups)
+            meansq = _error_mean_sq(v, exact, disc.mesh, groups)
     return combine_norms(norms, l2sq, hsq, meansq)
 
 
-def error_h(v, exact, mesh, dofmap, params):
+def error_h(v, exact, disc):
     """Broken h-norm of v_h minus the exact field."""
-    return _exact_errors(v, exact, mesh, dofmap, params, ("h",))["h"]
+    return _exact_errors(v, exact, disc, ("h",))["h"]
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +348,25 @@ def _fmt(x):
 # running studies
 # ---------------------------------------------------------------------------
 
-def _solve_case_on_mesh(case, mesh, params, alpha):
-    """One solve; returns (coefficients, iterations, extra) for the case."""
+def _solve_case_on_mesh(case, mesh, sigma, alpha):
+    """One solve on a new discretization of ``mesh``.
+
+    Returns (discretization, coefficients, iterations, extra) for the case.
+    """
+    disc = Discretization(mesh, sigma)
     if case.problem == "clamped-plate":
-        dofmap = build_dofmap(mesh)
-        A = assemble_a_h(mesh, dofmap, params)
-        b = assemble_load(mesh, dofmap, case.data["f"])
-        x, _ = cholesky_solve(A, b, dofmap.boundary_dof_ids)
-        return x, 0, {}
+        A = disc.A
+        b = assemble_load(disc, case.data["f"])
+        x, _ = cholesky_solve(A, b, disc.dofmap.boundary_dof_ids)
+        return disc, x, 0, {}
     if case.problem == "cahn-hilliard":
-        prob = ch.ChProblem(mesh, case.data["g1"], case.data["g2"], params=params)
+        prob = ch.ChProblem(disc, case.data["g1"], case.data["g2"])
         sol = ch.solve_ch(prob)
-        return sol.psi_h, 0, {"compatibility_defect": prob.compatibility_defect}
+        return disc, sol.psi_h, 0, {"compatibility_defect": prob.compatibility_defect}
     if case.problem == "dirichlet-control":
-        prob = ctl.ControlProblem(
-            mesh, case.data["f"], case.data["u_d"], alpha=alpha, params=params
-        )
+        prob = ctl.ControlProblem(disc, case.data["f"], case.data["u_d"], alpha=alpha)
         sol = ctl.solve_kkt(prob)
-        return sol.q_h, sol.report.iterations, {}
+        return disc, sol.q_h, sol.report.iterations, {}
     raise ValueError(f"unknown problem kind {case.problem!r}")
 
 
@@ -404,7 +404,6 @@ def run_study(
         raise ValueError(
             f"case {case.name!r} is defined on {case.domains}, not {domain!r}"
         )
-    params = C0ipParams(sigma=sigma)
     needs_reference = case.exact is None
     if needs_reference and reference_level is None:
         reference_level = levels[-1] + 2
@@ -429,29 +428,28 @@ def run_study(
     ref_coeffs = None
     compat = None
     if needs_reference:
+        # the reference discretization is dropped here, before the study levels
         ref_coeffs, _, extra = _solve_case_on_mesh(
-            case, hierarchy[reference_level], params, alpha
-        )
+            case, hierarchy[reference_level], sigma, alpha
+        )[1:]
         compat = extra.get("compatibility_defect")
 
     rows = []
     for lev in levels:
-        mesh = hierarchy[lev]
-        dofmap = build_dofmap(mesh)
         t0 = time.perf_counter()
-        v, iters, extra = _solve_case_on_mesh(case, mesh, params, alpha)
+        disc, v, iters, extra = _solve_case_on_mesh(case, hierarchy[lev], sigma, alpha)
         seconds = time.perf_counter() - t0
         if needs_reference:
-            diff = v - restrict_to_level(ref_coeffs, dofmap)
-            errors = _reference_errors(diff, mesh, dofmap, params, norms)
+            diff = v - restrict_to_level(ref_coeffs, disc.dofmap)
+            errors = _reference_errors(diff, disc, norms)
         else:
-            errors = _exact_errors(v, case.exact, mesh, dofmap, params, norms)
+            errors = _exact_errors(v, case.exact, disc, norms)
         compat = extra.get("compatibility_defect", compat)
         rows.append(
             StudyRow(
                 level=lev,
                 h=h0 / 2.0**lev,
-                ndofs=dofmap.n_dofs,
+                ndofs=disc.dofmap.n_dofs,
                 errors=errors,
                 solver_iters=iters,
                 seconds=seconds,

@@ -22,9 +22,8 @@ import time
 import numpy as np
 
 from c0ip import control as ctl
-from c0ip.c0ip import C0ipParams, assemble_a_h, matrix_norms
+from c0ip.c0ip import Discretization, assemble_a_h, matrix_norms
 from c0ip.cahn_hilliard import default_pin_corner
-from c0ip.fem import build_dofmap
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import run_study
@@ -32,7 +31,6 @@ from c0ip.study import run_study
 from oracle import oracle_a_h
 
 DOMAINS = ("unit-square", "right-triangle", "hexagon", "pentagon150")
-DEFAULT = C0ipParams()
 
 
 def _report(name, ok, detail):
@@ -107,7 +105,7 @@ def test_criterion_2_cahn_hilliard_rates():
 
 def _smooth_problem(mesh, alpha=0.1):
     return ctl.ControlProblem(
-        mesh,
+        Discretization(mesh),
         lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         lambda x, y: x * (1 - x) * y * (1 - y),
         alpha=alpha,
@@ -120,7 +118,7 @@ def test_criterion_3_kkt_system():
     zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
 
     # (a) zero data -> exactly zero triple
-    sol = ctl.solve_kkt(ctl.ControlProblem(hier[2], zero, zero, alpha=0.1))
+    sol = ctl.solve_kkt(ctl.ControlProblem(Discretization(hier[2]), zero, zero, alpha=0.1))
     zero_ok = (
         np.all(sol.u_f_h == 0.0) and np.all(sol.q_h == 0.0) and np.all(sol.phi_h == 0.0)
     )
@@ -137,7 +135,7 @@ def test_criterion_3_kkt_system():
     # (c) gradient against central differences
     rng = np.random.default_rng(2024)
     prob = _smooth_problem(hier[2])
-    n = prob.dofmap.n_dofs
+    n = prob.disc.dofmap.n_dofs
     p0 = 0.1 * rng.standard_normal(n)
     g = ctl.objective_gradient(prob, p0)
     eps = 1e-5
@@ -207,8 +205,7 @@ def test_criterion_5_form_properties():
     sym = 0.0
     for dom in ("unit-square", "pentagon150"):
         mesh = mesh_hierarchy(built_in_polygon(dom), 3)[3]
-        dm = build_dofmap(mesh)
-        A = assemble_a_h(mesh, dm, DEFAULT)
+        A = assemble_a_h(Discretization(mesh))
         d = (A - A.T).tocoo()
         rel = (np.abs(d.data).max() if d.nnz else 0.0) / np.abs(A.data).max()
         sym = max(sym, rel)
@@ -228,12 +225,13 @@ def test_criterion_5_form_properties():
         ok5 = True
         for lev in range(1, 6):
             mesh = hier[lev]
-            dm = build_dofmap(mesh)
-            A = assemble_a_h(mesh, dm, DEFAULT)
+            disc = Discretization(mesh)
+            dm = disc.dofmap
+            A = assemble_a_h(disc)
             vh = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
             qs = np.setdiff1d(np.arange(dm.n_dofs), [default_pin_corner(mesh)])
             all_definite &= definite(A, vh) and definite(A, qs)
-            A5 = assemble_a_h(mesh, dm, C0ipParams(sigma=5.0))
+            A5 = assemble_a_h(Discretization(mesh, sigma=5.0))
             ok5 &= definite(A5, vh) and definite(A5, qs)
         sigma5_definite[dom] = ok5
 
@@ -241,11 +239,11 @@ def test_criterion_5_form_properties():
     rng = np.random.default_rng(99)
     mins, maxs = [], []
     for mesh in mesh_hierarchy(built_in_polygon("unit-square"), 5)[2:]:
-        dm = build_dofmap(mesh)
+        disc = Discretization(mesh)
         ratios = []
         for _ in range(100):
-            v = rng.standard_normal(dm.n_dofs)
-            norms = matrix_norms(v, mesh, dm, DEFAULT, ("h", "qh"))
+            v = rng.standard_normal(disc.dofmap.n_dofs)
+            norms = matrix_norms(v, disc, ("h", "qh"))
             ratios.append(norms["qh"] / norms["h"])
         mins.append(min(ratios))
         maxs.append(max(ratios))
@@ -253,8 +251,7 @@ def test_criterion_5_form_properties():
 
     # kernel: exactly one numerically-zero eigenvalue
     mesh = mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
-    dm = build_dofmap(mesh)
-    w = np.linalg.eigvalsh(assemble_a_h(mesh, dm, DEFAULT).toarray())
+    w = np.linalg.eigvalsh(assemble_a_h(Discretization(mesh)).toarray())
     scale = np.abs(w).max()
     kernel_ok = abs(w[0]) < 1e-10 * scale and w[1] > 1e-8 * scale
 
@@ -280,16 +277,17 @@ def test_criterion_5_form_properties():
 def test_criterion_6_hand_computed_values():
     """Frozen per-edge-oracle values on the two-triangle unit square."""
     mesh = mesh_hierarchy(built_in_polygon("unit-square"), 0)[0]
-    dm = build_dofmap(mesh)
+    paper = Discretization(mesh, sigma=5.0, consistency_sign=+1)
+    consistent = Discretization(mesh, sigma=5.0, consistency_sign=-1)
+    dm = paper.dofmap
     p = dm.nodes[:, 0] ** 2
 
     # oracle first: independent per-edge quadrature of the printed form
-    paper = C0ipParams(sigma=5.0, consistency_sign=+1)
     A_oracle = oracle_a_h(mesh, dm, 5.0, +1)
     oracle_val = float(p @ (A_oracle @ p))
-    A = assemble_a_h(mesh, dm, paper)
+    A = assemble_a_h(paper)
     value = float(p @ (A @ p))
-    nh2 = matrix_norms(p, mesh, dm, C0ipParams(sigma=5.0), ("h",))["h"] ** 2
+    nh2 = matrix_norms(p, consistent, ("h",))["h"] ** 2
 
     ok = (
         abs(oracle_val - 32.0) < 1e-12
@@ -306,5 +304,5 @@ def test_criterion_6_hand_computed_values():
     assert abs(value - 32.0) < 1e-12
     assert abs(nh2 - 24.0) < 1e-12
     # the same quantity under the default (consistent) coupling sign
-    A_min = assemble_a_h(mesh, dm, C0ipParams(sigma=5.0, consistency_sign=-1))
+    A_min = assemble_a_h(consistent)
     assert abs(float(p @ (A_min @ p)) - 16.0) < 1e-12

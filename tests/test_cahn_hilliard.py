@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from c0ip.c0ip import C0ipParams, assemble_a_h, assemble_load
-from c0ip.cahn_hilliard import (
-    ChProblem,
-    CompatibilityError,
-    default_pin_corner,
-    solve_ch,
-)
-from c0ip.fem import build_dofmap
+from c0ip.c0ip import Discretization, assemble_a_h, assemble_load, assemble_mass
+from c0ip.cahn_hilliard import ChProblem, CompatibilityError, default_pin_corner, solve_ch
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
 from oracle import oracle_integral
@@ -28,20 +22,24 @@ def cos_exact(x, y):
     return np.cos(PI * x) * np.cos(PI * y) - 1.0
 
 
+def _problem(mesh, g1, g2, pinned_corner=None):
+    return ChProblem(Discretization(mesh), g1, g2, pinned_corner=pinned_corner)
+
+
 @pytest.fixture(scope="module")
 def square_hierarchy():
     return mesh_hierarchy(built_in_polygon("unit-square"), 4)
 
 
 def test_compatibility_zero_data(square_hierarchy):
-    prob = ChProblem(square_hierarchy[1], zero, zero)
+    prob = _problem(square_hierarchy[1], zero, zero)
     assert prob.compatibility_defect == 0.0
 
 
 def test_compatibility_constant_data(square_hierarchy):
     # g1 = 1 integrates to the area 1; g2 = 1/4 integrates to 1 over the
     # perimeter 4
-    prob = ChProblem(
+    prob = _problem(
         square_hierarchy[1],
         lambda x, y: np.ones_like(x),
         lambda x, y: np.full_like(x, 0.25),
@@ -50,7 +48,7 @@ def test_compatibility_constant_data(square_hierarchy):
 
 
 def test_compatibility_cosine(square_hierarchy):
-    prob = ChProblem(square_hierarchy[2], cos_source, zero)
+    prob = _problem(square_hierarchy[2], cos_source, zero)
     assert abs(prob.compatibility_defect) < 1e-10
     # sanity against an independent volume quadrature
     assert abs(oracle_integral(square_hierarchy[2], cos_source)) < 1e-10
@@ -58,7 +56,7 @@ def test_compatibility_cosine(square_hierarchy):
 
 def test_incompatible_data_rejected(square_hierarchy):
     with pytest.raises(CompatibilityError):
-        ChProblem(square_hierarchy[1], lambda x, y: np.ones_like(x), zero)
+        _problem(square_hierarchy[1], lambda x, y: np.ones_like(x), zero)
 
 
 def test_default_pin_is_lexicographic_smallest():
@@ -71,27 +69,27 @@ def test_default_pin_is_lexicographic_smallest():
 
 def test_pin_must_be_corner(square_hierarchy):
     with pytest.raises(ValueError):
-        ChProblem(square_hierarchy[1], zero, zero, pinned_corner=10**6)
+        _problem(square_hierarchy[1], zero, zero, pinned_corner=10**6)
 
 
 def test_zero_data_zero_solution(square_hierarchy):
-    sol = solve_ch(ChProblem(square_hierarchy[2], zero, zero))
+    sol = solve_ch(_problem(square_hierarchy[2], zero, zero))
     assert np.all(sol.psi_h == 0.0)
 
 
 def test_pinned_value_exactly_zero(square_hierarchy):
-    sol = solve_ch(ChProblem(square_hierarchy[2], cos_source, zero))
+    sol = solve_ch(_problem(square_hierarchy[2], cos_source, zero))
     assert sol.psi_h[0] == 0.0
     assert sol.report.relative_residual <= 1e-10
 
 
 def test_residual_orthogonality(square_hierarchy):
     mesh = square_hierarchy[2]
-    prob = ChProblem(mesh, cos_source, zero)
+    prob = _problem(mesh, cos_source, zero)
     sol = solve_ch(prob)
-    dm = prob.dofmap
-    A = assemble_a_h(mesh, dm, prob.params)
-    b = assemble_load(mesh, dm, cos_source)
+    dm = prob.disc.dofmap
+    A = assemble_a_h(prob.disc)
+    b = assemble_load(prob.disc, cos_source)
     res = A @ sol.psi_h - b
     free = np.setdiff1d(np.arange(dm.n_dofs), [prob.pinned_corner])
     assert np.linalg.norm(res[free]) <= 1e-10 * np.linalg.norm(b[free])
@@ -102,14 +100,11 @@ def test_cosine_errors_decrease(square_hierarchy):
 
     case = get_case("cosine")
     errs_h, errs_l2 = [], []
-    params = C0ipParams()
     for lev in (2, 3, 4):
-        mesh = square_hierarchy[lev]
-        prob = ChProblem(mesh, cos_source, zero, params=params)
+        prob = _problem(square_hierarchy[lev], cos_source, zero)
         sol = solve_ch(prob)
-        dm = prob.dofmap
-        errs_h.append(error_h(sol.psi_h, case.exact, mesh, dm, params))
-        errs_l2.append(error_l2(sol.psi_h, cos_exact, mesh, dm))
+        errs_h.append(error_h(sol.psi_h, case.exact, prob.disc))
+        errs_l2.append(error_l2(sol.psi_h, cos_exact, prob.disc))
     assert errs_h[0] > errs_h[1] > errs_h[2]
     assert errs_l2[0] > errs_l2[1] > errs_l2[2]
     # rate-one behavior in the h-norm between the last two levels
@@ -120,14 +115,11 @@ def test_pin_choice_changes_little(square_hierarchy):
     """Pinning a different corner shifts the solution by roughly a constant;
     after mean adjustment the difference is at discretization-error scale."""
     mesh = square_hierarchy[3]
-    params = C0ipParams()
-    sol_a = solve_ch(ChProblem(mesh, cos_source, zero, params=params))
+    sol_a = solve_ch(_problem(mesh, cos_source, zero))
     corner_b = int(mesh.corner_vertex_ids[2])
-    sol_b = solve_ch(ChProblem(mesh, cos_source, zero, params=params, pinned_corner=corner_b))
-    from c0ip.c0ip import assemble_mass
+    sol_b = solve_ch(_problem(mesh, cos_source, zero, pinned_corner=corner_b))
 
-    dm = build_dofmap(mesh)
-    M = assemble_mass(mesh, dm)
+    M = assemble_mass(Discretization(mesh))
     area = float(M.sum())
     diff = sol_a.psi_h - sol_b.psi_h
     mean = float((M @ diff).sum()) / area
@@ -140,7 +132,7 @@ def test_pin_choice_changes_little(square_hierarchy):
 @pytest.mark.parametrize("domain", ["unit-square", "right-triangle", "hexagon", "pentagon150"])
 def test_pinned_system_definite_at_default_sigma(domain):
     mesh = mesh_hierarchy(built_in_polygon(domain), 3)[3]
-    sol = solve_ch(ChProblem(mesh, zero, zero))
+    sol = solve_ch(_problem(mesh, zero, zero))
     assert np.all(sol.psi_h == 0.0)
 
 
@@ -155,11 +147,11 @@ def test_solution_satisfies_oracle_equation(square_hierarchy):
     from oracle import oracle_a_h, oracle_load
 
     mesh = square_hierarchy[1]
-    prob = ChProblem(mesh, cos_source, zero)
+    prob = _problem(mesh, cos_source, zero)
     sol = solve_ch(prob)
-    dm = prob.dofmap
-    A = oracle_a_h(mesh, dm, prob.params.sigma, prob.params.consistency_sign)
-    b = assemble_load(mesh, dm, cos_source)
+    dm = prob.disc.dofmap
+    A = oracle_a_h(mesh, dm, prob.disc.sigma, prob.disc.consistency_sign)
+    b = assemble_load(prob.disc, cos_source)
     free = np.setdiff1d(np.arange(dm.n_dofs), [prob.pinned_corner])
     res = (A @ sol.psi_h - b)[free]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(b[free])

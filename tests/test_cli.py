@@ -169,3 +169,10 @@ def test_main_run_config_file(tmp_path, capsys):
     )
     assert main(["run", str(cfgfile)]) == 0
     assert out.exists()
+
+
+def test_main_check_mesh_bad_levels_names_the_argument(capsys):
+    assert main(["check-mesh", "hexagon", "1..x"]) == 1
+    err = capsys.readouterr().err
+    assert "levels" in err
+    assert "line 0" not in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from c0ip import control as ctl
+from c0ip.c0ip import Discretization
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
 
@@ -17,6 +18,10 @@ def u_desired(x, y):
     return x * (1 - x) * y * (1 - y)
 
 
+def _problem(mesh, f, u_d, alpha):
+    return ctl.ControlProblem(Discretization(mesh), f, u_d, alpha=alpha)
+
+
 @pytest.fixture(scope="module")
 def hierarchy():
     return mesh_hierarchy(built_in_polygon("unit-square"), 3)
@@ -24,53 +29,53 @@ def hierarchy():
 
 @pytest.fixture(scope="module")
 def problem2(hierarchy):
-    return ctl.ControlProblem(hierarchy[2], one, u_desired, alpha=0.1)
+    return _problem(hierarchy[2], one, u_desired, alpha=0.1)
 
 
 def test_alpha_must_be_positive(hierarchy):
     with pytest.raises(ValueError):
-        ctl.ControlProblem(hierarchy[1], one, u_desired, alpha=0.0)
+        _problem(hierarchy[1], one, u_desired, alpha=0.0)
 
 
 def test_forward_zero_data(hierarchy):
-    prob = ctl.ControlProblem(hierarchy[1], zero, zero, alpha=1.0)
-    v = ctl.forward_solve(prob, np.zeros(prob.dofmap.n_dofs))
+    prob = _problem(hierarchy[1], zero, zero, alpha=1.0)
+    v = ctl.forward_solve(prob, np.zeros(prob.disc.dofmap.n_dofs))
     assert np.all(v == 0.0)
 
 
 def test_forward_constant_control_equals_plain_solve(problem2):
-    n = problem2.dofmap.n_dofs
+    n = problem2.disc.dofmap.n_dofs
     v_plain = ctl.forward_solve(problem2, None)
     v_const = ctl.forward_solve(problem2, np.full(n, 2.5))
     assert np.allclose(v_const, v_plain, atol=1e-9)
 
 
 def test_lift_of_constant_is_constant(problem2):
-    n = problem2.dofmap.n_dofs
-    out = ctl.lift(problem2, np.full(n, 3.0))
+    n = problem2.disc.dofmap.n_dofs
+    out = problem2.lift_apply(np.full(n, 3.0))
     assert np.allclose(out, 3.0, atol=1e-9)
 
 
 def test_lift_of_vh_function_is_zero(problem2, rng=np.random.default_rng(4)):
-    dm = problem2.dofmap
+    dm = problem2.disc.dofmap
     p = np.zeros(dm.n_dofs)
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
     p[interior] = rng.standard_normal(len(interior))
-    out = ctl.lift(problem2, p)
+    out = problem2.lift_apply(p)
     assert np.max(np.abs(out)) <= 1e-9 * max(np.max(np.abs(p)), 1.0)
 
 
 def test_lift_residual_orthogonality(problem2, rng=np.random.default_rng(6)):
-    dm = problem2.dofmap
+    dm = problem2.disc.dofmap
     p = rng.standard_normal(dm.n_dofs)
-    out = ctl.lift(problem2, p)
+    out = problem2.lift_apply(p)
     res = (problem2.A @ out)
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
     assert np.linalg.norm(res[interior]) <= 1e-9 * np.linalg.norm(problem2.A @ p)
 
 
 def test_zero_data_gives_exact_zero_triple(hierarchy):
-    prob = ctl.ControlProblem(hierarchy[2], zero, zero, alpha=0.5)
+    prob = _problem(hierarchy[2], zero, zero, alpha=0.5)
     sol = ctl.solve_kkt(prob)
     assert np.all(sol.u_f_h == 0.0)
     assert np.all(sol.q_h == 0.0)
@@ -80,9 +85,9 @@ def test_zero_data_gives_exact_zero_triple(hierarchy):
 
 def test_constant_desired_state_sanity(hierarchy):
     # u_d = lift of a constant: the minimizer beats simple competitors
-    prob = ctl.ControlProblem(hierarchy[2], zero, lambda x, y: np.full_like(x, 0.8), alpha=0.3)
+    prob = _problem(hierarchy[2], zero, lambda x, y: np.full_like(x, 0.8), alpha=0.3)
     sol = ctl.solve_kkt(prob)
-    n = prob.dofmap.n_dofs
+    n = prob.disc.dofmap.n_dofs
     # the constant control reproduces u_d exactly, so both costs sit at
     # cancellation roundoff; compare with a matching slack
     assert sol.j_h <= ctl.objective(prob, np.zeros(n)) + 1e-9
@@ -97,7 +102,7 @@ def test_kkt_residuals_small(problem2):
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_reduced_matches_monolithic(hierarchy, level):
-    prob = ctl.ControlProblem(hierarchy[level], one, u_desired, alpha=0.1)
+    prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
     red = ctl.solve_kkt(prob)
     mono = ctl.solve_kkt_monolithic(prob)
     for a, b in ((red.q_h, mono.q_h), (red.u_h, mono.u_h), (red.phi_h, mono.phi_h)):
@@ -108,7 +113,7 @@ def test_reduced_matches_monolithic(hierarchy, level):
 def test_monolithic_reports_true_block_residual(hierarchy, level):
     # the block rows rebuilt from the solution's fields: state and adjoint
     # equations on V_h, the gradient equation on Q_h
-    prob = ctl.ControlProblem(hierarchy[level], one, u_desired, alpha=0.1)
+    prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
     sol = ctl.solve_kkt_monolithic(prob)
     A, M, f, d, free = prob.A, prob.M, prob.load_f, prob.load_ud, prob.vh_free
     r = np.concatenate([
@@ -126,8 +131,8 @@ def test_monolithic_reports_true_block_residual(hierarchy, level):
 
 
 def test_objective_trivial_values(hierarchy):
-    prob = ctl.ControlProblem(hierarchy[1], zero, zero, alpha=1.0)
-    n = prob.dofmap.n_dofs
+    prob = _problem(hierarchy[1], zero, zero, alpha=1.0)
+    n = prob.disc.dofmap.n_dofs
     assert ctl.objective(prob, np.zeros(n)) == pytest.approx(0.0, abs=1e-15)
     c = 1.3
     assert ctl.objective(prob, np.full(n, c)) == pytest.approx(0.5 * c * c, rel=1e-10)
@@ -136,7 +141,7 @@ def test_objective_trivial_values(hierarchy):
 def test_objective_gradient_matches_finite_differences(
     problem2, rng=np.random.default_rng(8)
 ):
-    n = problem2.dofmap.n_dofs
+    n = problem2.disc.dofmap.n_dofs
     p0 = 0.1 * rng.standard_normal(n)
     g = ctl.objective_gradient(problem2, p0)
     eps = 1e-5
@@ -149,7 +154,7 @@ def test_objective_gradient_matches_finite_differences(
 
 
 def test_reduced_hessian_symmetry(problem2, rng=np.random.default_rng(9)):
-    n = problem2.dofmap.n_dofs
+    n = problem2.disc.dofmap.n_dofs
     for _ in range(10):
         d1 = rng.standard_normal(n)
         d2 = rng.standard_normal(n)
@@ -159,7 +164,7 @@ def test_reduced_hessian_symmetry(problem2, rng=np.random.default_rng(9)):
 
 
 def test_reduced_hessian_positivity(problem2, rng=np.random.default_rng(10)):
-    n = problem2.dofmap.n_dofs
+    n = problem2.disc.dofmap.n_dofs
     A = problem2.A
     for _ in range(10):
         d = rng.standard_normal(n)
@@ -178,22 +183,21 @@ def test_solution_is_a_minimizer(problem2, rng=np.random.default_rng(12)):
     sol = ctl.solve_kkt(problem2)
     for t in (1e-2, -1e-2, 1e-3, -1e-3):
         for _ in range(5):
-            d = rng.standard_normal(problem2.dofmap.n_dofs)
+            d = rng.standard_normal(problem2.disc.dofmap.n_dofs)
             assert sol.j_h <= ctl.objective(problem2, sol.q_h + t * d) + 1e-12
 
 
 def test_kkt_solution_satisfies_oracle_equations(hierarchy):
     """The reduced-space solution satisfies the three optimality equations
     assembled by the independent slow oracle."""
-    from c0ip.c0ip import C0ipParams
     from oracle import oracle_a_h, oracle_load, oracle_mass
 
     mesh = hierarchy[1]
-    prob = ctl.ControlProblem(mesh, one, u_desired, alpha=0.1)
+    prob = _problem(mesh, one, u_desired, alpha=0.1)
     sol = ctl.solve_kkt(prob)
 
-    dm = prob.dofmap
-    A = oracle_a_h(mesh, dm, prob.params.sigma, prob.params.consistency_sign)
+    dm = prob.disc.dofmap
+    A = oracle_a_h(mesh, dm, prob.disc.sigma, prob.disc.consistency_sign)
     M = oracle_mass(mesh, dm)
     F = oracle_load(mesh, dm, lambda x, y: 1.0)
     D = oracle_load(mesh, dm, lambda x, y: x * (1 - x) * y * (1 - y))

@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from c0ip.fem import P2, QuadratureRule, build_dofmap, eval_basis, evaluate, interpolate
+from c0ip.fem import P2, QuadratureRule, build_dofmap, evaluate, interpolate
 from c0ip.mesh import built_in_polygon, mesh_hierarchy, refine_uniform, triangulate_initial
 
 
@@ -13,7 +13,7 @@ def test_nodal_property():
 
 
 def test_vertex_node_values():
-    v, g, h = eval_basis(P2, (0.0, 0.0))
+    v = P2.values((0.0, 0.0))
     assert np.allclose(v, [1, 0, 0, 0, 0, 0], atol=1e-15)
 
 

@@ -6,10 +6,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from c0ip import linalg
-from c0ip.c0ip import C0ipParams, assemble_a_h
+from c0ip.c0ip import Discretization
 from c0ip.cahn_hilliard import default_pin_corner
 from c0ip.cli import main
-from c0ip.fem import build_dofmap
 from c0ip.linalg import (
     BandedCholesky,
     PositiveDefiniteError,
@@ -58,9 +57,8 @@ def test_cholesky_zero_rhs_still_checks_definiteness():
 
 def _a_h(domain, level):
     """a_h on Q_h, with its mesh and dof map."""
-    mesh = mesh_hierarchy(built_in_polygon(domain), level)[level]
-    dm = build_dofmap(mesh)
-    return assemble_a_h(mesh, dm, C0ipParams()), mesh, dm
+    disc = Discretization(mesh_hierarchy(built_in_polygon(domain), level)[level])
+    return disc.A, disc.mesh, disc.dofmap
 
 
 def _vh_system(domain, level):

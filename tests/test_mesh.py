@@ -190,15 +190,14 @@ def test_vertex_prefix_stability():
 
 def test_edge_record_view():
     mesh = triangulate_initial(built_in_polygon("unit-square"))
-    interior = [i for i in range(mesh.n_edges) if not mesh.is_boundary_edge[i]]
-    e = mesh.edge(interior[0])
-    assert e.kind == "interior"
-    assert e.t_minus == 0 and e.t_plus == 1
-    assert e.length == pytest.approx(np.sqrt(2.0))
-    assert np.allclose(e.midpoint, [0.5, 0.5])
-    b = mesh.edge([i for i in range(mesh.n_edges) if mesh.is_boundary_edge[i]][0])
-    assert b.kind == "boundary" and b.t_plus == -1
-    assert abs(np.hypot(*b.normal) - 1.0) < 1e-14
+    e = np.flatnonzero(~mesh.is_boundary_edge)[0]
+    assert not mesh.is_boundary_edge[e]
+    assert mesh.edge_t_minus[e] == 0 and mesh.edge_t_plus[e] == 1
+    assert mesh.edge_length[e] == pytest.approx(np.sqrt(2.0))
+    assert np.allclose(mesh.edge_midpoint[e], [0.5, 0.5])
+    b = np.flatnonzero(mesh.is_boundary_edge)[0]
+    assert mesh.is_boundary_edge[b] and mesh.edge_t_plus[b] == -1
+    assert abs(np.hypot(*mesh.edge_normal[b]) - 1.0) < 1e-14
 
 
 def test_nonconforming_mesh_rejected():

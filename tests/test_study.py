@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from c0ip.c0ip import C0ipParams
+from c0ip.c0ip import Discretization
 from c0ip.fem import build_dofmap, interpolate
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import (
@@ -27,13 +27,12 @@ def test_eoc_length_mismatch():
 
 
 def test_error_l2_trivial():
-    mesh = mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
-    dm = build_dofmap(mesh)
+    disc = Discretization(mesh_hierarchy(built_in_polygon("unit-square"), 2)[2])
     q = lambda x, y: 1.0 + 2 * x - y + 0.5 * x * y
-    coeffs = interpolate(dm, q)
-    assert error_l2(coeffs, q, mesh, dm) <= 1e-12
-    zero = np.zeros(dm.n_dofs)
-    assert error_l2(zero, lambda x, y: np.ones_like(x), mesh, dm) == pytest.approx(1.0)
+    coeffs = interpolate(disc.dofmap, q)
+    assert error_l2(coeffs, q, disc) <= 1e-12
+    zero = np.zeros(disc.dofmap.n_dofs)
+    assert error_l2(zero, lambda x, y: np.ones_like(x), disc) == pytest.approx(1.0)
 
 
 def test_error_l2_against_independent_quadrature():
@@ -41,7 +40,7 @@ def test_error_l2_against_independent_quadrature():
     dm = build_dofmap(mesh)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     coeffs = interpolate(dm, f)
-    got = error_l2(coeffs, f, mesh, dm)
+    got = error_l2(coeffs, f, Discretization(mesh))
     assert got == pytest.approx(_interp_error_reference(mesh, dm, coeffs, f), rel=1e-9)
 
 
@@ -67,9 +66,8 @@ def _interp_error_reference(mesh, dm, coeffs, f, n=10):
 
 
 def test_error_h_trivial():
-    mesh = mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
-    dm = build_dofmap(mesh)
-    params = C0ipParams()
+    disc = Discretization(mesh_hierarchy(built_in_polygon("unit-square"), 2)[2])
+    dm = disc.dofmap
     # global quadratic: interpolation is exact, so the error vanishes
     exact = ExactField(
         value=lambda x, y: x * x + 0.5 * x * y,
@@ -77,7 +75,7 @@ def test_error_h_trivial():
         laplacian=lambda x, y: 2.0 * np.ones_like(x),
     )
     coeffs = interpolate(dm, exact.value)
-    assert error_h(coeffs, exact, mesh, dm, params) <= 1e-11
+    assert error_h(coeffs, exact, disc) <= 1e-11
 
     # v = 0 against an exact field with constant Laplacian c and zero
     # boundary normal derivative: the element part alone gives |c| sqrt(area)
@@ -88,21 +86,20 @@ def test_error_h_trivial():
         laplacian=lambda x, y: chat * np.ones_like(x),
     )
     zero = np.zeros(dm.n_dofs)
-    assert error_h(zero, exact2, mesh, dm, params) == pytest.approx(chat, rel=1e-12)
+    assert error_h(zero, exact2, disc) == pytest.approx(chat, rel=1e-12)
 
 
 def test_interpolation_eoc_calibration():
     """Interpolation error alone converges at the expected orders; this
     calibrates the error norms before trusting any solver."""
     case = get_case("bubble")
-    params = C0ipParams()
     hier = mesh_hierarchy(built_in_polygon("unit-square"), 4)
     el2, eh, hs = [], [], []
     for mesh in hier[2:]:
-        dm = build_dofmap(mesh)
-        coeffs = interpolate(dm, case.exact.value)
-        el2.append(error_l2(coeffs, case.exact.value, mesh, dm))
-        eh.append(error_h(coeffs, case.exact, mesh, dm, params))
+        disc = Discretization(mesh)
+        coeffs = interpolate(disc.dofmap, case.exact.value)
+        el2.append(error_l2(coeffs, case.exact.value, disc))
+        eh.append(error_h(coeffs, case.exact, disc))
         hs.append(mesh.h_max)
     rates_l2 = eoc(el2, hs)
     rates_h = eoc(eh, hs)
@@ -204,3 +201,25 @@ def test_report_h_halves_exactly():
     hs = [r.h for r in rep.rows]
     assert hs[0] / hs[1] == 2.0
     assert hs[1] / hs[2] == 2.0
+
+
+def test_reference_discretization_dropped_after_its_solve(monkeypatch):
+    """The reference level's discretization, with its assembled matrices,
+    is unreachable once its solve returns, before the study levels run."""
+    import weakref
+
+    import c0ip.study
+
+    solve = c0ip.study._solve_case_on_mesh
+    discs = []
+
+    def spy(case, mesh, sigma, alpha):
+        assert all(ref() is None for ref in discs[:1])
+        out = solve(case, mesh, sigma, alpha)
+        discs.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(c0ip.study, "_solve_case_on_mesh", spy)
+    run_study("cosine-flux", [1, 2], reference_level=3, norms=("h",))
+    assert len(discs) == 3
+    assert discs[0]() is None

@@ -126,6 +126,8 @@ def parse_config(text):
             raise ConfigError(f"line {linenos['sigma']}: sigma must be a number") from None
         if not sigma >= 1.0:
             raise ConfigError(f"line {linenos['sigma']}: sigma must be >= 1")
+        if not np.isfinite(sigma):
+            raise ConfigError(f"line {linenos['sigma']}: sigma must be finite")
 
     alpha = 0.1
     if "alpha" in values:
@@ -135,6 +137,8 @@ def parse_config(text):
             raise ConfigError(f"line {linenos['alpha']}: alpha must be a number") from None
         if not alpha > 0.0:
             raise ConfigError(f"line {linenos['alpha']}: alpha must be > 0")
+        if not np.isfinite(alpha):
+            raise ConfigError(f"line {linenos['alpha']}: alpha must be finite")
 
     case = values.get("case")
     if case is not None:

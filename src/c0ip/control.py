@@ -46,6 +46,8 @@ class ControlProblem:
     def __init__(self, disc, f, u_d, alpha):
         if not alpha > 0.0:
             raise ValueError(f"regularization parameter alpha must be > 0, got {alpha}")
+        if not np.isfinite(alpha):
+            raise ValueError(f"regularization parameter alpha must be finite, got {alpha}")
         self.disc = disc
         self.f = f
         self.u_d = u_d
@@ -107,12 +109,15 @@ def _reduced_rhs(problem):
     return -problem.lift_transpose_apply(problem.M @ uf0 - problem.load_ud)
 
 
+def _cost(problem, u, q):
+    track = float(u @ (problem.M @ u) - 2.0 * (u @ problem.load_ud)) + problem.ud_sq_integral
+    reg = float(q @ (problem.A @ q))
+    return 0.5 * track + 0.5 * problem.alpha * reg
+
+
 def objective(problem, p_h):
     """Discrete cost: tracking misfit plus the alpha-weighted form energy."""
-    u = forward_solve(problem, p_h) + p_h
-    track = float(u @ (problem.M @ u) - 2.0 * (u @ problem.load_ud)) + problem.ud_sq_integral
-    reg = float(p_h @ (problem.A @ p_h))
-    return 0.5 * track + 0.5 * problem.alpha * reg
+    return _cost(problem, forward_solve(problem, p_h) + p_h, p_h)
 
 
 def objective_gradient(problem, p_h):
@@ -157,19 +162,23 @@ def kkt_residuals(problem, u_f, q, phi):
     }
 
 
-def _finish(problem, q, report):
-    u_f = forward_solve(problem, q)
+def _solution(problem, u_f, q, phi, report):
     u = u_f + q
-    phi = problem.state_factor.solve(problem.M @ u - problem.load_ud)
     return KktSolution(
         u_f_h=u_f,
         q_h=q,
         phi_h=phi,
         u_h=u,
-        j_h=objective(problem, q),
+        j_h=_cost(problem, u, q),
         residuals=kkt_residuals(problem, u_f, q, phi),
         report=report,
     )
+
+
+def _finish(problem, q, report):
+    u_f = forward_solve(problem, q)
+    phi = problem.state_factor.solve(problem.M @ (u_f + q) - problem.load_ud)
+    return _solution(problem, u_f, q, phi, report)
 
 
 def solve_kkt(problem, tol=1e-10, max_iter=2000):
@@ -226,14 +235,4 @@ def solve_kkt_monolithic(problem):
     phi = np.zeros(n)
     phi[free] = sol[nf + n :]
     rel = float(np.linalg.norm(K @ sol - rhs)) / max(float(np.linalg.norm(rhs)), _TINY)
-    report = SolveReport("lu", 0, rel, rel <= 1e-10)
-    u = u_f + q
-    return KktSolution(
-        u_f_h=u_f,
-        q_h=q,
-        phi_h=phi,
-        u_h=u,
-        j_h=objective(problem, q),
-        residuals=kkt_residuals(problem, u_f, q, phi),
-        report=report,
-    )
+    return _solution(problem, u_f, q, phi, SolveReport("lu", 0, rel, rel <= 1e-10))

@@ -63,7 +63,8 @@ class BandedCholesky:
     by reverse Cuthill-McKee and stored in LAPACK upper band form, a
     Fortran-ordered array of (bw + 1) * n * 8 bytes that LAPACK factors in
     place: that one buffer is both the band and the factor.  A band larger
-    than physical memory raises ``MemoryError`` before allocation.
+    than physical memory raises ``MemoryError`` before allocation, and a
+    reduced matrix with non-finite entries raises ``ValueError``.
 
     ``solve`` takes a full-length right-hand side and returns a full-length
     solution that is zero on ``fixed``; the gather of the free dofs and the
@@ -73,6 +74,8 @@ class BandedCholesky:
     def __init__(self, A, fixed=()):
         self.n_full = A.shape[0]
         A, self.free = constrain(A, fixed)
+        if not np.isfinite(A.data).all():
+            raise ValueError("cannot factor a matrix with non-finite entries")
         n = A.shape[0]
         self.n = n
         if n == 0:

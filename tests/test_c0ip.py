@@ -353,9 +353,20 @@ def test_norm_matrices_assembled_once_per_discretization(square2, monkeypatch):
     assert calls == {name: 1 for name in assemblers}
 
 
+def test_coupling_cancels_between_signs():
+    """a_h(+1) + a_h(-1) leaves twice the volume and penalty terms (the h-norm matrix)."""
+    mesh = mesh_hierarchy(built_in_polygon("hexagon"), 3)[3]
+    plus, minus = (Discretization(mesh, consistency_sign=s) for s in (1, -1))
+    twice = 2.0 * plus.norm_h
+    diff = plus.A + minus.A - twice
+    assert abs(diff).max() <= 1e-12 * abs(twice).max()
+
+
 def test_discretization_validates_its_inputs(square0):
     with pytest.raises(ValueError, match="penalty parameter sigma must be >= 1, got 0.5"):
         Discretization(square0, sigma=0.5)
+    with pytest.raises(ValueError, match="penalty parameter sigma must be finite, got inf"):
+        Discretization(square0, sigma=np.inf)
     with pytest.raises(ValueError, match="consistency_sign must be -1 or \\+1"):
         Discretization(square0, consistency_sign=0)
     bare = Triangulation(

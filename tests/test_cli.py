@@ -25,6 +25,24 @@ def test_parse_rejects_small_sigma():
         parse_config("problem = clamped-plate\nlevels = 1..2\nsigma = 0.5\n")
 
 
+@pytest.mark.parametrize(
+    "key, problem", [("sigma", "clamped-plate"), ("alpha", "dirichlet-control")]
+)
+def test_parse_rejects_infinite_sigma_and_alpha(key, problem):
+    with pytest.raises(ConfigError, match=f"line 3: {key} must be finite"):
+        parse_config(f"problem = {problem}\nlevels = 1..2\n{key} = inf\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_refuses_sigma_that_overflows_assembly(tmp_path, capsys):
+    out = tmp_path / "plate.csv"
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"problem = clamped-plate\nlevels = 1..2\nsigma = 1e308\noutput = {out}\n")
+    assert main(["run", str(cfg)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_rejects_unknown_key_with_line_number():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("problem = clamped-plate\nlevels = 1..2\npenalty = 3\n")

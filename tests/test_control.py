@@ -37,6 +37,11 @@ def test_alpha_must_be_positive(hierarchy):
         _problem(hierarchy[1], one, u_desired, alpha=0.0)
 
 
+def test_alpha_must_be_finite(hierarchy):
+    with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+        _problem(hierarchy[1], one, u_desired, alpha=np.inf)
+
+
 def test_forward_zero_data(hierarchy):
     prob = _problem(hierarchy[1], zero, zero, alpha=1.0)
     v = ctl.forward_solve(prob, np.zeros(prob.disc.dofmap.n_dofs))

@@ -140,6 +140,15 @@ def test_banded_factor_refuses_band_larger_than_memory(monkeypatch):
         BandedCholesky(A)
 
 
+def test_banded_factor_refuses_non_finite_entries():
+    for bad in (np.inf, np.nan):
+        A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            BandedCholesky(A)
+        # only the reduced matrix is checked: a fixed dof may carry the bad entry
+        assert BandedCholesky(A, fixed=[2]).solve(np.ones(3))[2] == 0.0
+
+
 def test_cli_reports_memory_preflight(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(linalg, "_physical_memory_bytes", lambda: 16)
     cfg = tmp_path / "plate.cfg"

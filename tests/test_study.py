@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from c0ip.c0ip import Discretization
+from c0ip.c0ip import NORM_NAMES, Discretization, matrix_norms
 from c0ip.fem import build_dofmap, interpolate
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import (
     ExactField,
+    _exact_errors,
     eoc,
     error_h,
     error_l2,
@@ -223,3 +224,18 @@ def test_reference_discretization_dropped_after_its_solve(monkeypatch):
     run_study("cosine-flux", [1, 2], reference_level=3, norms=("h",))
     assert len(discs) == 3
     assert discs[0]() is None
+
+
+@pytest.mark.parametrize(
+    "domain, level", [("hexagon", 3), ("pentagon150", 2), ("unit-square", 3)]
+)
+def test_exact_error_path_matches_norm_matrices(domain, level, rng=np.random.default_rng(3)):
+    """Against a zero field, the quadrature error path gives the matrix norms."""
+    disc = Discretization(mesh_hierarchy(built_in_polygon(domain), level)[level])
+    zeros = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+    zero = ExactField(zeros, lambda x, y: (zeros(x, y), zeros(x, y)), zeros)
+    v = rng.standard_normal(disc.dofmap.n_dofs)
+    quad = _exact_errors(v, zero, disc, NORM_NAMES)
+    mat = matrix_norms(v, disc, NORM_NAMES)
+    for name in NORM_NAMES:
+        assert quad[name] == pytest.approx(mat[name], rel=1e-12, abs=0.0)

@@ -141,14 +141,12 @@ def edge_side_data(disc, rule=_EDGE_RULE):
         edges = np.flatnonzero(sel)
         ref = geom.to_reference(tri_ids[:, None], edge_points(mesh, edges, rule))
         gref = P2.gradients(ref)                         # (n, Q, 6, 2)
-        gphys = np.einsum("tqbj,tjk->tqbk", gref, geom.jac_inv[tri_ids])
         nrm = out_sign * mesh.edge_normal[edges]         # outward for this side
-        dn = np.einsum("tqbk,tk->tbq", gphys, nrm)
         groups.append(
             EdgeSideGroup(
                 edges=edges,
                 dofs=disc.dofmap.cell_dofs[tri_ids],
-                dn=dn,
+                dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
                 lap=lap[tri_ids],
                 length=mesh.edge_length[edges],
             )
@@ -156,10 +154,35 @@ def edge_side_data(disc, rule=_EDGE_RULE):
     return tuple(groups)
 
 
+def _normal_derivatives(gref, jinv, nrm):
+    """Physical normal derivatives (t, b, q) of reference gradients ``gref`` (t, q, b, 2).
+
+    The sums of einsum("tqbj,tjk->tqbk") and einsum("tqbk,tk->tbq"), term for
+    term, accumulated in two buffers; ``gref``'s first component is reused
+    as scratch once it is consumed.
+    """
+    g0, g1 = gref[..., 0], gref[..., 1]
+    jinv = jinv[:, None, None, :, :]
+    dx = g0 * jinv[..., 0, 0]
+    dy = g0 * jinv[..., 0, 1]
+    np.multiply(g1, jinv[..., 1, 0], out=g0)
+    dx += g0
+    np.multiply(g1, jinv[..., 1, 1], out=g0)
+    dy += g0
+    dx *= nrm[:, None, None, 0]
+    dy *= nrm[:, None, None, 1]
+    dx += dy
+    # the einsum's layout, a transposed (t, q, b) array: ``dn @ weights`` sums
+    # a C-contiguous (t, b, q) copy in another order and moves A in its last bits
+    return dx.transpose(0, 2, 1)
+
+
 def _assemble(disc, pieces):
     """One CSR matrix summed from (row dofs, column dofs, blocks) pieces, indexed in order."""
     rows, cols, vals = [], [], []
     for row_dofs, col_dofs, blocks in pieces:
+        # scipy keeps int32 indices anyway, but downcasts only after a full int64 copy
+        row_dofs, col_dofs = row_dofs.astype(np.int32), col_dofs.astype(np.int32)
         rows.append(np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel())
         cols.append(np.tile(col_dofs, (1, row_dofs.shape[1])).ravel())
         vals.append(np.ascontiguousarray(blocks).ravel())

@@ -7,8 +7,9 @@ data must satisfy the compatibility condition
 
     int_Omega g1 dx = int_{boundary} g2 ds,
 
-which the problem constructor checks with high-order quadrature.  A problem
-is posed on a ``Discretization``, whose stiffness matrix the solve factors.
+which ``check_compatibility`` verifies with high-order quadrature; a study
+checks once, on its last study level.  A problem is posed on a
+``Discretization``, whose stiffness matrix the solve factors.
 The pinned corner is eliminated inside the factor (``cholesky_solve`` with
 that dof fixed), which returns the full-length solution, zero at the corner.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "ChProblem",
     "ChSolution",
     "CompatibilityError",
+    "check_compatibility",
     "solve_ch",
     "default_pin_corner",
 ]
@@ -68,8 +70,35 @@ def _volume_integral(geom, g1, rule):
     return vol, float(np.sqrt(max(l2sq, 0.0)))
 
 
+def check_compatibility(disc, g1, g2):
+    """Defect int g1 dx - int g2 ds on ``disc``'s mesh; raises if it is not negligible.
+
+    The defect is measured against the data scale ||g1|| + ||g2|| + 1: above
+    ``_COMPAT_HARD`` times the scale it raises ``CompatibilityError``, above
+    ``_COMPAT_WARN`` times the scale it warns.
+    """
+    vol, g1_norm = _volume_integral(disc.geom, g1, _CHECK_TRI_RULE)
+    line, g2_norm = _boundary_integral(disc.mesh, g2, _CHECK_EDGE_RULE)
+    defect = vol - line
+    scale = g1_norm + g2_norm + 1.0
+    if abs(defect) > _COMPAT_HARD * scale:
+        raise CompatibilityError(
+            f"compatibility defect {defect:.3e} exceeds "
+            f"{_COMPAT_HARD:.0e} * data scale {scale:.3e}"
+        )
+    if abs(defect) > _COMPAT_WARN * scale:
+        warnings.warn(
+            f"compatibility defect {defect:.3e} is within tolerance but not negligible",
+            stacklevel=2,
+        )
+    return defect
+
+
 class ChProblem:
-    """Source/flux data on a discretization, with corner pinning and validated data."""
+    """Source/flux data on a discretization, with corner pinning.
+
+    The data are taken as given; ``check_compatibility`` is the check.
+    """
 
     def __init__(self, disc, g1, g2, pinned_corner=None):
         mesh = disc.mesh
@@ -82,23 +111,6 @@ class ChProblem:
         if self.pinned_corner not in set(mesh.corner_vertex_ids.tolist()):
             raise ValueError(
                 f"pinned vertex {self.pinned_corner} is not a polygon corner"
-            )
-
-        vol, g1_norm = _volume_integral(disc.geom, g1, _CHECK_TRI_RULE)
-        line, g2_norm = _boundary_integral(mesh, g2, _CHECK_EDGE_RULE)
-        self.compatibility_defect = vol - line
-        self._data_scale = g1_norm + g2_norm + 1.0
-        defect = abs(self.compatibility_defect)
-        if defect > _COMPAT_HARD * self._data_scale:
-            raise CompatibilityError(
-                f"compatibility defect {self.compatibility_defect:.3e} exceeds "
-                f"{_COMPAT_HARD:.0e} * data scale {self._data_scale:.3e}"
-            )
-        if defect > _COMPAT_WARN * self._data_scale:
-            warnings.warn(
-                f"compatibility defect {self.compatibility_defect:.3e} is within "
-                "tolerance but not negligible",
-                stacklevel=2,
             )
 
 

@@ -155,12 +155,17 @@ class TriangleGeometry:
 
     def to_physical(self, ref_points):
         """Map reference points (Q, 2) into every triangle; (nt, Q, 2)."""
-        return self.v0[:, None, :] + np.einsum("tij,qj->tqi", self.jac, ref_points)
+        # the two-term sum of einsum("tij,qj->tqi", jac, ref_points), term for term
+        jac = self.jac[:, None, :, :]
+        return self.v0[:, None, :] + (
+            jac[..., 0] * ref_points[:, None, 0] + jac[..., 1] * ref_points[:, None, 1]
+        )
 
     def to_reference(self, cells, points):
         """Reference coordinates of physical ``points`` inside ``cells``."""
         d = points - self.v0[cells]
-        return np.einsum("...ij,...j->...i", self.jac_inv[cells], d)
+        jinv = self.jac_inv[cells]
+        return jinv[..., 0] * d[..., None, 0] + jinv[..., 1] * d[..., None, 1]
 
     def laplacians(self):
         """Physical Laplacian of each shape function; constant, (nt, 6)."""

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from c0ip.c0ip import Discretization, assemble_a_h, assemble_load, assemble_mass
-from c0ip.cahn_hilliard import ChProblem, CompatibilityError, default_pin_corner, solve_ch
+from c0ip.cahn_hilliard import (
+    ChProblem,
+    CompatibilityError,
+    check_compatibility,
+    default_pin_corner,
+    solve_ch,
+)
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
 from oracle import oracle_integral
@@ -32,31 +38,73 @@ def square_hierarchy():
 
 
 def test_compatibility_zero_data(square_hierarchy):
-    prob = _problem(square_hierarchy[1], zero, zero)
-    assert prob.compatibility_defect == 0.0
+    assert check_compatibility(Discretization(square_hierarchy[1]), zero, zero) == 0.0
 
 
 def test_compatibility_constant_data(square_hierarchy):
     # g1 = 1 integrates to the area 1; g2 = 1/4 integrates to 1 over the
     # perimeter 4
-    prob = _problem(
-        square_hierarchy[1],
+    defect = check_compatibility(
+        Discretization(square_hierarchy[1]),
         lambda x, y: np.ones_like(x),
         lambda x, y: np.full_like(x, 0.25),
     )
-    assert abs(prob.compatibility_defect) < 1e-13
+    assert abs(defect) < 1e-13
 
 
 def test_compatibility_cosine(square_hierarchy):
-    prob = _problem(square_hierarchy[2], cos_source, zero)
-    assert abs(prob.compatibility_defect) < 1e-10
+    defect = check_compatibility(Discretization(square_hierarchy[2]), cos_source, zero)
+    assert abs(defect) < 1e-10
     # sanity against an independent volume quadrature
     assert abs(oracle_integral(square_hierarchy[2], cos_source)) < 1e-10
 
 
 def test_incompatible_data_rejected(square_hierarchy):
     with pytest.raises(CompatibilityError):
-        _problem(square_hierarchy[1], lambda x, y: np.ones_like(x), zero)
+        check_compatibility(
+            Discretization(square_hierarchy[1]), lambda x, y: np.ones_like(x), zero
+        )
+
+
+def test_study_checks_compatibility_once_on_its_last_level(monkeypatch):
+    import c0ip.cahn_hilliard as ch_mod
+    from c0ip.study import run_study
+
+    calls = []
+
+    def spy(disc, g1, g2):
+        calls.append((disc.mesh.level, check_compatibility(disc, g1, g2)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ch_mod, "check_compatibility", spy)
+    rep = run_study("cosine-flux", [1, 2], reference_level=3, domain="hexagon", norms=("h",))
+    assert len(calls) == 1
+    level, defect = calls[0]
+    assert level == 2
+    assert np.float64(rep.compatibility_defect).tobytes() == np.float64(defect).tobytes()
+
+
+def test_study_rejects_incompatible_data_before_any_factor(monkeypatch):
+    from c0ip.linalg import BandedCholesky
+    from c0ip.study import ManufacturedCase, run_study
+
+    factors = []
+    init = BandedCholesky.__init__
+
+    def spy(self, *args, **kwargs):
+        factors.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BandedCholesky, "__init__", spy)
+    case = ManufacturedCase(
+        name="incompatible",
+        problem="cahn-hilliard",
+        description="unit source with zero flux",
+        data={"g1": lambda x, y: np.ones_like(x), "g2": zero},
+    )
+    with pytest.raises(CompatibilityError):
+        run_study(case, [1, 2], reference_level=3)
+    assert factors == []
 
 
 def test_default_pin_is_lexicographic_smallest():

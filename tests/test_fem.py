@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from c0ip.fem import P2, QuadratureRule, build_dofmap, evaluate, interpolate
+from c0ip.fem import P2, QuadratureRule, TriangleGeometry, build_dofmap, evaluate, interpolate
 from c0ip.mesh import built_in_polygon, mesh_hierarchy, refine_uniform, triangulate_initial
 
 
@@ -112,3 +112,42 @@ def test_interpolation_reproduces_quadratics(rng=np.random.default_rng(3)):
     vals = evaluate(mesh, dm, coeffs, np.array(pts))
     exact = np.array([q(x, y) for x, y in pts])
     assert np.max(np.abs(vals - exact)) <= 1e-12
+
+
+# -- the geometry maps sum the same two terms as the einsums they replace ----
+
+def _einsum_to_physical(geom, ref_points):
+    """The reference for to_physical: an unoptimized einsum over the length-2 axis."""
+    return geom.v0[:, None, :] + np.einsum("tij,qj->tqi", geom.jac, ref_points)
+
+
+def _einsum_to_reference(geom, cells, points):
+    """The reference for to_reference, broadcasting like it."""
+    d = points - geom.v0[cells]
+    return np.einsum("...ij,...j->...i", geom.jac_inv[cells], d)
+
+
+@pytest.fixture(scope="module")
+def pentagon_geometry():
+    return TriangleGeometry.from_mesh(mesh_hierarchy(built_in_polygon("pentagon150"), 3)[3])
+
+
+@pytest.mark.parametrize("degree", [6, 16, 20])
+def test_to_physical_bit_identical_to_einsum(pentagon_geometry, degree):
+    ref = QuadratureRule.triangle(degree).points
+    got = pentagon_geometry.to_physical(ref)
+    assert np.array_equal(got, _einsum_to_physical(pentagon_geometry, ref))
+
+
+def test_to_reference_bit_identical_to_einsum(pentagon_geometry, rng=np.random.default_rng(8)):
+    geom = pentagon_geometry
+    cells = np.arange(len(geom.area))
+    # edge tables: (n, 1) cells against (n, Q, 2) points
+    pts = geom.to_physical(QuadratureRule.triangle(6).points)
+    got = geom.to_reference(cells[:, None], pts)
+    assert np.array_equal(got, _einsum_to_reference(geom, cells[:, None], pts))
+    # evaluate: every cell against one (1, 2) point, giving (nt, 2)
+    p = rng.uniform(-0.5, 0.5, size=(1, 2))
+    got = geom.to_reference(cells, p)
+    assert got.shape == (len(cells), 2)
+    assert np.array_equal(got, _einsum_to_reference(geom, cells, p))

@@ -73,8 +73,6 @@ class Discretization:
             raise ValueError(f"penalty parameter sigma must be finite, got {sigma}")
         if consistency_sign not in (-1, 1):
             raise ValueError("consistency_sign must be -1 or +1")
-        if mesh.edge_vertices is None:
-            raise ValueError("mesh has no edge topology; call build_edges first")
         self.mesh = mesh
         self.sigma = sigma
         self.consistency_sign = consistency_sign

@@ -32,7 +32,7 @@ from .mesh import (
 )
 from .study import CASES, MAX_REFERENCE_LEVEL, NORM_NAMES, get_case, run_study
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "run", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
 
 PROBLEMS = ("clamped-plate", "dirichlet-control", "cahn-hilliard")
 _DEFAULT_CASE = {
@@ -193,25 +193,6 @@ def parse_config(text):
     )
 
 
-def serialize_config(config):
-    """Config text that parses back to an equal RunConfig."""
-    lines = [
-        f"problem = {config.problem}",
-        f"domain = {config.domain}",
-        f"levels = {config.levels[0]}..{config.levels[-1]}",
-        f"sigma = {config.sigma:.12g}",
-        f"alpha = {config.alpha:.12g}",
-    ]
-    if config.case is not None:
-        lines.append(f"case = {config.case}")
-    if config.output is not None:
-        lines.append(f"output = {config.output}")
-    lines.append("norms = " + ",".join(config.norms))
-    if config.reference_level is not None:
-        lines.append(f"reference-level = {config.reference_level}")
-    return "\n".join(lines) + "\n"
-
-
 def build_identifier():
     """Version plus git describe when available."""
     base = f"c0ip-{__version__}"
@@ -230,9 +211,8 @@ def build_identifier():
     return base
 
 
-def run(config, out_stream=None):
+def run(config):
     """Execute one configured study; returns a process exit status."""
-    out_stream = out_stream if out_stream is not None else sys.stdout
     try:
         domain = (
             config.domain
@@ -259,19 +239,16 @@ def run(config, out_stream=None):
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
     if report.compatibility_defect is not None:
-        print(
-            f"compatibility defect: {report.compatibility_defect:.6e}", file=out_stream
-        )
-    print(report.final_eoc_line(), file=out_stream)
-    print(f"wrote {path}", file=out_stream)
+        print(f"compatibility defect: {report.compatibility_defect:.6e}")
+    print(report.final_eoc_line())
+    print(f"wrote {path}")
     return 0
 
 
-def _check_mesh(domain, levels, out_stream=None):
-    out_stream = out_stream if out_stream is not None else sys.stdout
+def _check_mesh(domain, levels):
     polygon = built_in_polygon(domain) if domain in BUILT_IN_DOMAINS else load_polygon(domain)
     hierarchy = mesh_hierarchy(polygon, levels[-1])
-    print("level  vertices  triangles  edges  h            area_defect   checks", file=out_stream)
+    print("level  vertices  triangles  edges  h            area_defect   checks")
     status = 0
     base_classes = None
     for lev in levels:
@@ -304,8 +281,7 @@ def _check_mesh(domain, levels, out_stream=None):
             status = 1
         print(
             f"{lev:>5}  {mesh.n_vertices:>8}  {mesh.n_triangles:>9}  {mesh.n_edges:>5}"
-            f"  {mesh.h_max:<11.6g}  {defect:<12.3e}  {' '.join(checks) or 'ok'}",
-            file=out_stream,
+            f"  {mesh.h_max:<11.6g}  {defect:<12.3e}  {' '.join(checks) or 'ok'}"
         )
     return status
 
@@ -324,12 +300,11 @@ def _similarity_classes(mesh):
     return np.unique(np.round(trip, 9), axis=0)
 
 
-def _list_cases(out_stream=None):
-    out_stream = out_stream if out_stream is not None else sys.stdout
+def _list_cases():
     for name in sorted(CASES):
         case = CASES[name]
         doms = ", ".join(case.domains) if case.domains else "any convex polygon"
-        print(f"{name:<12} {case.problem:<18} [{doms}]  {case.description}", file=out_stream)
+        print(f"{name:<12} {case.problem:<18} [{doms}]  {case.description}")
     return 0
 
 

@@ -181,13 +181,13 @@ def _finish(problem, q, report):
     return _solution(problem, u_f, q, phi, report)
 
 
-def solve_kkt(problem, tol=1e-10, max_iter=2000):
+def solve_kkt(problem):
     """Reduced-space solve of the discrete optimality system."""
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),
         _reduced_rhs(problem),
-        tol=tol,
-        max_iter=max_iter,
+        tol=1e-10,
+        max_iter=2000,
         precond=problem.precond_factor.solve,
     )
     if not report.success:

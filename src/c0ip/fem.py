@@ -211,18 +211,18 @@ def interpolate(dofmap, function):
     return np.broadcast_to(coeffs, (dofmap.n_dofs,)).copy()
 
 
-def evaluate(mesh, dofmap, coeffs, points):
-    """Point evaluation of a finite element function (brute-force location)."""
-    geom = TriangleGeometry.from_mesh(mesh)
+def evaluate(disc, coeffs, points):
+    """Point evaluation of a finite element function on ``disc``'s mesh (brute-force location)."""
+    geom = disc.geom
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(len(pts))
     for k, p in enumerate(pts):
-        ref = geom.to_reference(np.arange(mesh.n_triangles), p[None, :])
+        ref = geom.to_reference(np.arange(disc.mesh.n_triangles), p[None, :])
         lam0 = 1.0 - ref[:, 0] - ref[:, 1]
         inside = (ref[:, 0] >= -1e-12) & (ref[:, 1] >= -1e-12) & (lam0 >= -1e-12)
         hits = np.flatnonzero(inside)
         if len(hits) == 0:
             raise ValueError(f"point {p} lies outside the mesh")
         t = int(hits[0])
-        out[k] = P2.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[dofmap.cell_dofs[t]]
+        out[k] = P2.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[disc.dofmap.cell_dofs[t]]
     return out if out.size > 1 else float(out[0])

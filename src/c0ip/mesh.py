@@ -1,11 +1,12 @@
 """Triangulations of convex polygons with uniform red refinement.
 
-The mesh layer produces conforming triangulations together with the oriented
-edge topology (T-, T+ adjacency and unit normals) that the interior penalty
-bilinear form needs.  All meshes are immutable after construction.
+``build_edges`` is the one constructor of a ``Triangulation``: every mesh
+carries its oriented edge topology (T-, T+ adjacency and unit normals) that
+the interior penalty bilinear form needs.  The polygon corners are the first
+mesh vertices on every level.  All meshes are immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,26 +68,27 @@ class Polygon:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Conforming triangulation with oriented edge topology.
+    """Conforming triangulation with oriented edge topology; built by ``build_edges``.
 
-    Vertices created by refinement are appended after their parents in
-    parent-edge order, so vertex ids (and with them the vertex-then-edge dof
-    numbering) form a stable prefix across refinement levels.
+    The polygon corners are vertices ``0..n-1``.  Vertices created by
+    refinement are appended after their parents in parent-edge order, so
+    vertex ids (and with them the vertex-then-edge dof numbering) form a
+    stable prefix across refinement levels.
     """
 
     polygon: Polygon
     vertices: np.ndarray           # (nv, 2)
     triangles: np.ndarray          # (nt, 3) CCW vertex ids
     level: int
-    edge_vertices: np.ndarray = field(default=None)   # (ne, 2), sorted pairs
-    edge_t_minus: np.ndarray = field(default=None)    # (ne,)
-    edge_t_plus: np.ndarray = field(default=None)     # (ne,), -1 on boundary
-    edge_normal: np.ndarray = field(default=None)     # (ne, 2), T- into T+; outward on boundary
-    edge_length: np.ndarray = field(default=None)
-    edge_midpoint: np.ndarray = field(default=None)
-    cell_edges: np.ndarray = field(default=None)      # (nt, 3), edge opposite local vertex
-    boundary_vertex_flags: np.ndarray = field(default=None)
-    corner_vertex_ids: np.ndarray = field(default=None)
+    edge_vertices: np.ndarray   # (ne, 2), sorted pairs
+    edge_t_minus: np.ndarray    # (ne,)
+    edge_t_plus: np.ndarray     # (ne,), -1 on boundary
+    edge_normal: np.ndarray     # (ne, 2), T- into T+; outward on boundary
+    edge_length: np.ndarray
+    edge_midpoint: np.ndarray
+    cell_edges: np.ndarray      # (nt, 3), edge opposite local vertex
+    boundary_vertex_flags: np.ndarray
+    corner_vertex_ids: np.ndarray
 
     @property
     def n_vertices(self):
@@ -110,11 +112,7 @@ class Triangulation:
         return float(self.edge_length.max())
 
     def triangle_areas(self):
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _signed_areas2(self.vertices, self.triangles)
 
     def __str__(self):
         return (
@@ -145,8 +143,11 @@ def built_in_polygon(name):
     return Polygon(np.asarray(verts, dtype=float), name=name)
 
 
-def load_polygon(path, name=None):
-    """Read a polygon from plain text: one ``x y`` pair per line, CCW order."""
+def load_polygon(path):
+    """Read a polygon from plain text: one ``x y`` pair per line, CCW order.
+
+    The polygon is named by its path.
+    """
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -160,71 +161,60 @@ def load_polygon(path, name=None):
                 rows.append((float(parts[0]), float(parts[1])))
             except ValueError:
                 raise MeshError(f"{path}:{lineno}: non-numeric coordinate") from None
-    return Polygon(np.asarray(rows, dtype=float), name=name or str(path))
+    return Polygon(np.asarray(rows, dtype=float), name=str(path))
 
 
 def triangulate_initial(polygon):
-    """Coarse conforming triangulation of a convex polygon.
+    """Coarse conforming triangulation of a convex polygon: the fan from vertex 0.
 
-    The unit square gets the canonical two-triangle split along the
-    (0,0)-(1,1) diagonal; every other polygon is fan-triangulated from
-    vertex 0.  All polygon vertices become mesh vertices.
+    The mesh vertices are the polygon corners in order.  The unit square is
+    split along its (0,0)-(1,1) diagonal.
     """
-    v = polygon.vertices
-    n = len(v)
-    if n == 4 and _is_unit_square(v):
-        tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    else:
-        tris = np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=np.int64)
-    mesh = Triangulation(polygon=polygon, vertices=v.copy(), triangles=tris, level=0)
-    return build_edges(mesh)
+    n = len(polygon.vertices)
+    tris = np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=np.int64)
+    return build_edges(polygon, polygon.vertices.copy(), tris, 0)
 
 
-def _is_unit_square(v):
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return np.allclose(v, ref, rtol=0.0, atol=1e-14)
+def build_edges(polygon, vertices, triangles, level):
+    """The complete triangulation of ``polygon`` with the given vertices and triangles.
 
-
-def build_edges(mesh):
-    """Populate edge topology: adjacency, kind, oriented normals, corners.
-
-    Edges are ordered by their sorted vertex-index pair; for interior edges
-    the adjacent triangle with the smaller index is T- and the normal points
-    from T- into T+; boundary normals point out of the polygon.
+    Derives the edge topology: adjacency, oriented normals, boundary
+    vertices and corners.  Edges are ordered by their sorted vertex-index
+    pair; for interior edges the adjacent triangle with the smaller index is
+    T- and the normal points from T- into T+; boundary normals point out of
+    the polygon.  The polygon corners must be the first mesh vertices, and
+    the triangles must cover the polygon.
     """
-    verts = mesh.vertices
-    tris = mesh.triangles
-
-    areas2 = _signed_areas2(verts, tris)
+    areas2 = _signed_areas2(vertices, triangles)
     if np.any(areas2 <= 0.0):
         bad = int(np.argmin(areas2))
         raise MeshError(f"triangle {bad} is degenerate or not counter-clockwise")
 
     # Conformity bookkeeping on sorted vertex pairs, one int64 key per
     # triangle side; side k is the edge opposite local vertex k.
-    nv = np.int64(len(verts))
-    a, b = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+    nv = np.int64(len(vertices))
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
     keys = (np.minimum(a, b) * nv + np.maximum(a, b)).ravel()
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     if np.any(counts > 2):
         key = int(uniq[np.argmax(counts > 2)])
         raise MeshError(f"edge {divmod(key, int(nv))} shared by more than two triangles")
     edge_vertices = np.column_stack([uniq // nv, uniq % nv])
-    cell_edges = inverse.reshape(tris.shape)
+    cell_edges = inverse.reshape(triangles.shape)
     # sides grouped by edge, in ascending triangle order within each edge
     owner = np.argsort(inverse, kind="stable") // 3
     first = np.cumsum(counts) - counts
     t_minus = owner[first]
     t_plus = np.where(counts == 2, owner[np.minimum(first + 1, len(owner) - 1)], -1)
 
-    pa = verts[edge_vertices[:, 0]]
-    pb = verts[edge_vertices[:, 1]]
+    pa = vertices[edge_vertices[:, 0]]
+    pb = vertices[edge_vertices[:, 1]]
     tangent = pb - pa
     length = np.hypot(tangent[:, 0], tangent[:, 1])
     normal = np.column_stack([tangent[:, 1], -tangent[:, 0]]) / length[:, None]
     midpoint = 0.5 * (pa + pb)
 
-    centroids = verts[tris].mean(axis=1)
+    centroids = vertices[triangles].mean(axis=1)
     interior = t_plus >= 0
     # interior: orient from T- to T+; boundary: outward = away from T- centroid
     ref = np.where(
@@ -235,17 +225,24 @@ def build_edges(mesh):
     flip = np.einsum("ij,ij->i", normal, ref) < 0.0
     normal[flip] *= -1.0
 
-    boundary_flags = np.zeros(len(verts), dtype=bool)
+    boundary_flags = np.zeros(len(vertices), dtype=bool)
     bedges = edge_vertices[~interior]
     boundary_flags[bedges.ravel()] = True
 
-    corner_ids = _corner_vertex_ids(mesh.polygon, verts)
+    corners = polygon.vertices
+    if not np.array_equal(vertices[: len(corners)], corners):
+        raise MeshError("polygon corners must be the first mesh vertices")
 
-    out = Triangulation(
-        polygon=mesh.polygon,
-        vertices=verts,
-        triangles=tris,
-        level=mesh.level,
+    total = 0.5 * float(areas2.sum())
+    target = polygon.area
+    if abs(total - target) > _AREA_RTOL * max(abs(target), 1.0):
+        raise MeshError(f"triangle areas sum to {total!r}, polygon area is {target!r}")
+
+    return Triangulation(
+        polygon=polygon,
+        vertices=vertices,
+        triangles=triangles,
+        level=level,
         edge_vertices=edge_vertices,
         edge_t_minus=t_minus,
         edge_t_plus=t_plus,
@@ -254,36 +251,14 @@ def build_edges(mesh):
         edge_midpoint=midpoint,
         cell_edges=cell_edges,
         boundary_vertex_flags=boundary_flags,
-        corner_vertex_ids=corner_ids,
+        corner_vertex_ids=np.arange(len(corners), dtype=np.int64),
     )
-    _check_cover(out)
-    return out
 
 
 def _signed_areas2(verts, tris):
     d1 = verts[tris[:, 1]] - verts[tris[:, 0]]
     d2 = verts[tris[:, 2]] - verts[tris[:, 0]]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def _corner_vertex_ids(polygon, verts):
-    ids = []
-    for p in polygon.vertices:
-        d = np.hypot(verts[:, 0] - p[0], verts[:, 1] - p[1])
-        j = int(np.argmin(d))
-        if d[j] > 1e-12:
-            raise MeshError("polygon corner missing from mesh vertices")
-        ids.append(j)
-    return np.asarray(ids, dtype=np.int64)
-
-
-def _check_cover(mesh):
-    total = float(mesh.triangle_areas().sum())
-    target = mesh.polygon.area
-    if abs(total - target) > _AREA_RTOL * max(abs(target), 1.0):
-        raise MeshError(
-            f"triangle areas sum to {total!r}, polygon area is {target!r}"
-        )
 
 
 def refine_uniform(mesh):
@@ -307,13 +282,7 @@ def refine_uniform(mesh):
     children[2::4] = np.column_stack([m1, m0, t[:, 2]])
     children[3::4] = np.column_stack([m0, m1, m2])
 
-    out = Triangulation(
-        polygon=mesh.polygon,
-        vertices=verts,
-        triangles=children,
-        level=mesh.level + 1,
-    )
-    return build_edges(out)
+    return build_edges(mesh.polygon, verts, children, mesh.level + 1)
 
 
 def mesh_hierarchy(polygon, max_level):

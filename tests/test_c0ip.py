@@ -15,7 +15,6 @@ from c0ip.c0ip import (
 from c0ip.fem import P2, QuadratureRule, build_dofmap, interpolate
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import (
-    Triangulation,
     built_in_polygon,
     mesh_hierarchy,
     refine_uniform,
@@ -372,11 +371,6 @@ def test_discretization_validates_its_inputs(square0):
         Discretization(square0, sigma=np.inf)
     with pytest.raises(ValueError, match="consistency_sign must be -1 or \\+1"):
         Discretization(square0, consistency_sign=0)
-    bare = Triangulation(
-        polygon=square0.polygon, vertices=square0.vertices, triangles=square0.triangles, level=0
-    )
-    with pytest.raises(ValueError, match="mesh has no edge topology; call build_edges first"):
-        Discretization(bare)
 
 
 # -- edge tables and the COO path are bit-identical to their references ------

@@ -1,6 +1,6 @@
 import pytest
 
-from c0ip.cli import ConfigError, main, parse_config, run, serialize_config
+from c0ip.cli import ConfigError, RunConfig, main, parse_config, run
 
 
 def test_parse_minimal_defaults():
@@ -74,7 +74,7 @@ def test_parse_rejects_bad_alpha_and_norms():
         parse_config("problem = clamped-plate\nlevels = 1..2\nnorms = l2,h3\n")
 
 
-def test_config_roundtrip():
+def test_parse_every_key():
     text = (
         "problem = dirichlet-control\n"
         "domain = unit-square\n"
@@ -86,8 +86,17 @@ def test_config_roundtrip():
         "norms = l2,h\n"
         "reference-level = 5\n"
     )
-    cfg = parse_config(text)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert parse_config(text) == RunConfig(
+        problem="dirichlet-control",
+        levels=(1, 2, 3),
+        domain="unit-square",
+        sigma=8.0,
+        alpha=0.25,
+        case="reference",
+        output="out.csv",
+        norms=("l2", "h"),
+        reference_level=5,
+    )
 
 
 def test_run_clamped_plate_writes_csv(tmp_path, capsys):

@@ -3,6 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from c0ip.c0ip import Discretization
 from c0ip.fem import P2, QuadratureRule, TriangleGeometry, build_dofmap, evaluate, interpolate
 from c0ip.mesh import built_in_polygon, mesh_hierarchy, refine_uniform, triangulate_initial
 
@@ -99,8 +100,8 @@ def test_interpolate_constant_and_linear():
 
 
 def test_interpolation_reproduces_quadratics(rng=np.random.default_rng(3)):
-    mesh = mesh_hierarchy(built_in_polygon("hexagon"), 2)[2]
-    dm = build_dofmap(mesh)
+    disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 2)[2])
+    dm = disc.dofmap
     c = rng.standard_normal(6)
     q = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
     coeffs = interpolate(dm, q)
@@ -109,7 +110,7 @@ def test_interpolation_reproduces_quadratics(rng=np.random.default_rng(3)):
     while len(pts) < 50:
         p = rng.uniform(-0.4, 0.4, size=2)
         pts.append(p)
-    vals = evaluate(mesh, dm, coeffs, np.array(pts))
+    vals = evaluate(disc, coeffs, np.array(pts))
     exact = np.array([q(x, y) for x, y in pts])
     assert np.max(np.abs(vals - exact)) <= 1e-12
 

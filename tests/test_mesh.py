@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from c0ip.fem import build_dofmap
 from c0ip.mesh import (
     BUILT_IN_DOMAINS,
     MeshError,
     Polygon,
+    build_edges,
     built_in_polygon,
     load_polygon,
     mesh_hierarchy,
@@ -179,6 +183,58 @@ def test_corner_vertices_persist():
         assert np.all(mesh.boundary_vertex_flags[mesh.corner_vertex_ids])
 
 
+def _nearest_corner_ids(polygon, vertices):
+    """Corner ids by a nearest-vertex search: the reference for corner_vertex_ids."""
+    ids = []
+    for p in polygon.vertices:
+        d = np.hypot(vertices[:, 0] - p[0], vertices[:, 1] - p[1])
+        j = int(np.argmin(d))
+        assert d[j] <= 1e-12
+        ids.append(j)
+    return np.asarray(ids, dtype=np.int64)
+
+
+@pytest.mark.parametrize("domain", sorted(BUILT_IN_DOMAINS))
+def test_corner_ids_match_nearest_vertex_search(domain):
+    for mesh in mesh_hierarchy(built_in_polygon(domain), 4):
+        assert mesh.corner_vertex_ids.dtype == np.int64
+        assert np.array_equal(
+            mesh.corner_vertex_ids, _nearest_corner_ids(mesh.polygon, mesh.vertices)
+        )
+
+
+def test_corners_not_first_rejected():
+    poly = built_in_polygon("unit-square")
+    verts = np.array([[1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
+    tris = np.array([[3, 0, 1], [3, 1, 2]])
+    with pytest.raises(MeshError, match="polygon corners must be the first mesh vertices"):
+        build_edges(poly, verts, tris, 0)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices on an axis-aligned ellipse, CCW, with angular gaps of at least 2*pi/(3n)."""
+    n = draw(st.integers(3, 8))
+    unit = st.floats(0.0, 1.0)
+    gaps = 1.0 + 2.0 * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    angles = draw(unit) * 2.0 * np.pi + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    radii = 0.5 + 1.5 * np.array(draw(st.lists(unit, min_size=2, max_size=2)))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+    return Polygon(center + radii * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(convex_polygons())
+def test_prefix_property_on_random_convex_polygons(poly):
+    hier = mesh_hierarchy(poly, 3)
+    for mesh in hier:
+        assert np.array_equal(mesh.corner_vertex_ids, np.arange(len(poly.vertices)))
+    for coarse, fine in zip(hier, hier[1:]):
+        assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
+        nodes = build_dofmap(coarse).nodes
+        assert np.array_equal(build_dofmap(fine).nodes[: len(nodes)], nodes)
+
+
 def test_vertex_prefix_stability():
     hier = mesh_hierarchy(built_in_polygon("unit-square"), 3)
     for coarse, fine in zip(hier, hier[1:]):
@@ -201,13 +257,11 @@ def test_edge_record_view():
 
 
 def test_nonconforming_mesh_rejected():
-    from c0ip.mesh import Triangulation, build_edges
-
     poly = built_in_polygon("unit-square")
     verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 1]], dtype=float)
     tris = np.array([[0, 1, 2], [0, 2, 3], [0, 2, 4]])
     with pytest.raises(MeshError):
-        build_edges(Triangulation(polygon=poly, vertices=verts, triangles=tris, level=0))
+        build_edges(poly, verts, tris, 0)
 
 
 def _loop_edge_topology(tris):
@@ -236,14 +290,12 @@ def test_edge_topology_matches_loop_reference(domain):
 
 
 def test_edge_shared_by_three_triangles_rejected():
-    from c0ip.mesh import Triangulation, build_edges
-
     poly = built_in_polygon("unit-square")
     # three counter-clockwise triangles on the same side (0, 1)
     verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, 3]], dtype=float)
     tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by more than two"):
-        build_edges(Triangulation(polygon=poly, vertices=verts, triangles=tris, level=0))
+        build_edges(poly, verts, tris, 0)
 
 
 def test_load_polygon_roundtrip(tmp_path):

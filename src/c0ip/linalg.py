@@ -1,13 +1,17 @@
 """Sparse symmetric solves: banded Cholesky behind RCM, CG, and constraints.
 
 Matrices are scipy CSR throughout; assembly produces
-canonical (sorted, duplicate-free) matrices.  Direct solves permute with
+canonical (sorted, duplicate-free) matrices, and ``constrain`` sums the
+duplicates of any other input on a copy.  Direct solves permute with
 reverse Cuthill-McKee and factor the resulting band with LAPACK, which
 doubles as the positive-definiteness check: a non-positive pivot raises
 ``PositiveDefiniteError``.  The band is allocated in Fortran order and
 factored in place, so a factor holds one buffer of (bw + 1) * n * 8 bytes;
 a band larger than the machine's physical memory raises ``MemoryError``
-before it is allocated.
+before it is allocated.  The permuted upper triangle is computed by index
+arithmetic on the reduced CSR, the reduced matrix is dropped, and the freed
+heap is handed back to the OS (glibc ``malloc_trim``) just before the band
+is allocated, so the band lands on live memory only.
 
 Fixed dofs (the boundary of V_h, a pinned corner) are eliminated inside the
 factor: ``BandedCholesky(A, fixed)`` factors A restricted to the free dofs,
@@ -15,6 +19,7 @@ and its solves take and return full-length vectors that are zero on the
 fixed dofs.  ``cholesky_solve`` is the one-shot path with a residual report.
 """
 
+import ctypes
 from dataclasses import dataclass
 import os
 
@@ -55,6 +60,19 @@ def _physical_memory_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def _release_freed_heap():
+    """Return freed but still resident heap pages to the OS (glibc only)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 class BandedCholesky:
     """Reusable Cholesky factor of a sparse SPD matrix on its free dofs.
 
@@ -62,9 +80,14 @@ class BandedCholesky:
     number of free dofs that are factored.  The reduced matrix is permuted
     by reverse Cuthill-McKee and stored in LAPACK upper band form, a
     Fortran-ordered array of (bw + 1) * n * 8 bytes that LAPACK factors in
-    place: that one buffer is both the band and the factor.  A band larger
-    than physical memory raises ``MemoryError`` before allocation, and a
-    reduced matrix with non-finite entries raises ``ValueError``.
+    place: that one buffer is both the band and the factor.  Entry (i, j),
+    i <= j, of the permuted matrix sits at row bw - (j - i), column j of
+    the band.  Before the band is allocated the reduced matrix is dropped
+    and freed heap is returned to the OS; the (row, column, value) triples
+    that fill it are dropped before LAPACK runs.  A band larger than
+    physical memory raises ``MemoryError`` before allocation, and a reduced
+    matrix with non-finite entries raises ``ValueError``.  ``bandwidth`` is
+    0 when every dof is fixed.
 
     ``solve`` takes a full-length right-hand side and returns a full-length
     solution that is zero on ``fixed``; the gather of the free dofs and the
@@ -79,13 +102,19 @@ class BandedCholesky:
         n = A.shape[0]
         self.n = n
         if n == 0:
-            self._factor = None
+            self._factor, self.bandwidth = None, 0
             return
         self.perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
         self._gather = self.free[self.perm]
-        Ap = A[self.perm][:, self.perm].tocoo()
-        keep = Ap.row <= Ap.col
-        rows, cols, vals = Ap.row[keep], Ap.col[keep], Ap.data[keep]
+        # the permuted upper triangle by index arithmetic: entry (i, j) of A
+        # lands at (iperm[i], iperm[j]) of A[perm][:, perm]
+        iperm = np.empty(n, dtype=A.indices.dtype)
+        iperm[self.perm] = np.arange(n, dtype=A.indices.dtype)
+        rows = np.repeat(iperm, np.diff(A.indptr))
+        cols = iperm[A.indices]
+        keep = rows <= cols
+        rows, cols, vals = rows[keep], cols[keep], A.data[keep]
+        del A, iperm, keep
         bw = int((cols - rows).max()) if len(rows) else 0
         need, have = (bw + 1) * n * 8, _physical_memory_bytes()
         if need > have:
@@ -94,8 +123,10 @@ class BandedCholesky:
                 f"{need / 2**30:.1f} GiB of band storage; this machine has "
                 f"{have / 2**30:.1f} GiB of physical memory"
             )
+        _release_freed_heap()
         ab = np.zeros((bw + 1, n), order="F")
         ab[bw - (cols - rows), cols] = vals
+        del rows, cols, vals
         try:
             self._factor = sla.cholesky_banded(
                 ab, overwrite_ab=True, lower=False, check_finite=False
@@ -175,8 +206,20 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
 
 
 def constrain(A, fixed_dofs):
-    """Eliminate fixed dofs symmetrically: returns A[free][:, free] and free."""
+    """Eliminate fixed dofs symmetrically: returns A[free][:, free] and free.
+
+    A non-canonical A has its duplicate entries summed on a copy, so the
+    caller's arrays are never touched; a fixed id outside [0, n) raises
+    ``ValueError``.
+    """
     A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    n = A.shape[0]
     fixed = np.asarray(fixed_dofs, dtype=np.int64)
-    free = np.setdiff1d(np.arange(A.shape[0]), fixed)
+    bad = fixed[(fixed < 0) | (fixed >= n)]
+    if len(bad):
+        raise ValueError(f"fixed dof id {bad[0]} is outside [0, {n})")
+    free = np.setdiff1d(np.arange(n), fixed)
     return (A[free][:, free] if len(fixed) else A), free

@@ -43,6 +43,8 @@ __all__ = [
     "matrix_norms",
     "edge_points",
     "edge_side_data",
+    "edge_sides",
+    "edge_side_group",
 ]
 
 _TRI_RULE = QuadratureRule.triangle(6)
@@ -58,7 +60,8 @@ class Discretization:
     the two norm matrices are assembled the first time each is used and
     kept.  Edge tables are rebuilt for each assembly and never kept: at
     hexagon level 7 they take 66 MB, which would stay alive while ``A`` is
-    factored.
+    factored.  An assembly frees them before it allocates its COO triplets,
+    which it writes once (``_assemble``).
 
     The default sigma = 10 keeps the constrained systems positive definite
     on every built-in domain at every tested level; the observed coercivity
@@ -126,30 +129,41 @@ def edge_side_data(disc, rule=_EDGE_RULE):
     Quadrature points run along each edge from its lower to its higher
     vertex index, so the two sides of an interior edge share physical points.
     """
-    mesh, geom = disc.mesh, disc.geom
-    lap = geom.laplacians()
+    lap = disc.geom.laplacians()
+    return tuple(edge_side_group(disc, side, rule, lap) for side in edge_sides(disc.mesh))
 
-    boundary = mesh.is_boundary_edge
-    groups = []
-    for sel, tri_ids, out_sign in (
+
+def edge_sides(mesh):
+    """(edge ids, adjacent triangles, outward sign) of the boundary,
+    interior-minus and interior-plus side groups."""
+    boundary = np.flatnonzero(mesh.is_boundary_edge)
+    interior = np.flatnonzero(~mesh.is_boundary_edge)
+    return (
         (boundary, mesh.edge_t_minus[boundary], +1.0),
-        (~boundary, mesh.edge_t_minus[~boundary], +1.0),
-        (~boundary, mesh.edge_t_plus[~boundary], -1.0),
-    ):
-        edges = np.flatnonzero(sel)
-        ref = geom.to_reference(tri_ids[:, None], edge_points(mesh, edges, rule))
-        gref = P2.gradients(ref)                         # (n, Q, 6, 2)
-        nrm = out_sign * mesh.edge_normal[edges]         # outward for this side
-        groups.append(
-            EdgeSideGroup(
-                edges=edges,
-                dofs=disc.dofmap.cell_dofs[tri_ids],
-                dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
-                lap=lap[tri_ids],
-                length=mesh.edge_length[edges],
-            )
-        )
-    return tuple(groups)
+        (interior, mesh.edge_t_minus[interior], +1.0),
+        (interior, mesh.edge_t_plus[interior], -1.0),
+    )
+
+
+def edge_side_group(disc, side, rule, lap):
+    """The ``EdgeSideGroup`` of one side group, or of any slice of its edges.
+
+    ``side`` is an (edges, triangles, outward sign) triple of ``edge_sides``
+    and ``lap`` the mesh's ``geom.laplacians()``; every row depends on its
+    own edge only, so a slice gives the matching rows of the whole table.
+    """
+    mesh, geom = disc.mesh, disc.geom
+    edges, tri_ids, out_sign = side
+    ref = geom.to_reference(tri_ids[:, None], edge_points(mesh, edges, rule))
+    gref = P2.gradients(ref)                         # (n, Q, 6, 2)
+    nrm = out_sign * mesh.edge_normal[edges]         # outward for this side
+    return EdgeSideGroup(
+        edges=edges,
+        dofs=disc.dofmap.cell_dofs[tri_ids],
+        dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
+        lap=lap[tri_ids],
+        length=mesh.edge_length[edges],
+    )
 
 
 def _normal_derivatives(gref, jinv, nrm):
@@ -176,18 +190,30 @@ def _normal_derivatives(gref, jinv, nrm):
 
 
 def _assemble(disc, pieces):
-    """One CSR matrix summed from (row dofs, column dofs, blocks) pieces, indexed in order."""
-    rows, cols, vals = [], [], []
-    for row_dofs, col_dofs, blocks in pieces:
-        # scipy keeps int32 indices anyway, but downcasts only after a full int64 copy
-        row_dofs, col_dofs = row_dofs.astype(np.int32), col_dofs.astype(np.int32)
-        rows.append(np.repeat(row_dofs, col_dofs.shape[1], axis=1).ravel())
-        cols.append(np.tile(col_dofs, (1, row_dofs.shape[1])).ravel())
-        vals.append(np.ascontiguousarray(blocks).ravel())
+    """One CSR matrix summed from a list of (row dofs, column dofs, blocks) pieces.
+
+    The COO triplets are allocated once, at the total entry count, and each
+    piece is broadcast into its slice in list order: block entry (e, i, j)
+    goes to row ``row_dofs[e, i]`` and column ``col_dofs[e, j]``.  The list
+    is emptied as it is written, so each piece's blocks are freed before
+    the next is copied and none is alive while scipy builds the CSR.
+    """
+    total = sum(blocks.size for _, _, blocks in pieces)
+    # int32 indices: scipy keeps int32 anyway, but downcasts only after a full int64 copy
+    rows = np.empty(total, dtype=np.int32)
+    cols = np.empty(total, dtype=np.int32)
+    vals = np.empty(total)
+    start = 0
+    while pieces:
+        row_dofs, col_dofs, blocks = pieces.pop(0)
+        stop = start + blocks.size
+        rows[start:stop].reshape(blocks.shape)[...] = row_dofs[:, :, None]
+        cols[start:stop].reshape(blocks.shape)[...] = col_dofs[:, None, :]
+        vals[start:stop].reshape(blocks.shape)[...] = blocks
+        start = stop
+        del row_dofs, col_dofs, blocks
     n = disc.dofmap.n_dofs
-    a = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     a.sum_duplicates()
     return a
 
@@ -223,34 +249,30 @@ def assemble_volume_norm_matrix(disc):
 
 def assemble_a_h(disc):
     """The interior penalty bilinear form as a sparse symmetric matrix."""
-
-    def pieces():
-        yield _volume_piece(disc)
-        # volume indices first, then every edge block: other orders raised control-cg peak RSS
-        yield from [
-            (a.dofs, b.dofs, _penalty(disc, a, b) + _coupling(disc, a, b, mw))
-            for a, b, mw in _side_pairs(edge_side_data(disc))
-        ]
-
-    return _assemble(disc, pieces())
+    # every block is computed, and the edge tables freed, before the COO is allocated
+    pieces = [_volume_piece(disc)] + [
+        (a.dofs, b.dofs, _penalty(disc, a, b) + _coupling(disc, a, b, mw))
+        for a, b, mw in _side_pairs(edge_side_data(disc))
+    ]
+    return _assemble(disc, pieces)
 
 
 def assemble_penalty_matrix(disc):
     """Only the sigma/|e| jump penalty part (the edge part of the h-norm)."""
-    pieces = (
+    pieces = [
         (a.dofs, b.dofs, _penalty(disc, a, b))
         for a, b, _ in _side_pairs(edge_side_data(disc))
-    )
+    ]
     return _assemble(disc, pieces)
 
 
 def assemble_mean_norm_matrix(disc):
     """Matrix of sum_e |e| || mean(Lap v) ||_e^2 (edge part of the Q_h norm)."""
     # the mean is constant along the edge: |e| * int_e mean*mean = |e|^2 * product
-    pieces = (
+    pieces = [
         (a.dofs, b.dofs, mw * mw * np.einsum("e,ei,ej->eij", a.length**2, a.lap, b.lap))
         for a, b, mw in _side_pairs(edge_side_data(disc))
-    )
+    ]
     return _assemble(disc, pieces)
 
 
@@ -258,9 +280,8 @@ def assemble_mass(disc):
     """P2 mass matrix."""
     vals = P2.values(_TRI_RULE.points)                  # (Q, 6)
     mref = np.einsum("q,qi,qj->ij", _TRI_RULE.weights, vals, vals)
-    blocks = 2.0 * disc.geom.area[:, None, None] * mref
     cell_dofs = disc.dofmap.cell_dofs
-    return _assemble(disc, [(cell_dofs, cell_dofs, blocks)])
+    return _assemble(disc, [(cell_dofs, cell_dofs, 2.0 * disc.geom.area[:, None, None] * mref)])
 
 
 def _field_values(f, x, y, *normal):

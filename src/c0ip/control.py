@@ -99,9 +99,9 @@ def forward_solve(problem, p_h=None):
 
 def reduced_hessian_apply(problem, q):
     """Action of the reduced operator alpha A + T' M T."""
-    return problem.alpha * (problem.A @ q) + problem.lift_transpose_apply(
-        problem.M @ problem.lift_apply(q)
-    )
+    a_q = problem.A @ q
+    lift_q = q + problem.state_factor.solve(-a_q)  # lift_apply(q), reusing A q
+    return problem.alpha * a_q + problem.lift_transpose_apply(problem.M @ lift_q)
 
 
 def _reduced_rhs(problem):

@@ -128,7 +128,8 @@ BUILT_IN_DOMAINS = {
     "hexagon": [
         (np.cos(k * np.pi / 3.0), np.sin(k * np.pi / 3.0)) for k in range(6)
     ],
-    # convex pentagon stressing the large-interior-angle regime
+    # irregular convex pentagon; its angles, 100.2 to 120.0 degrees, stay
+    # below the 120-180 degree regime the source paper opens
     "pentagon150": [(0.0, 0.0), (1.0, 0.0), (1.5, 0.866), (0.75, 1.5), (-0.25, 0.75)],
 }
 

@@ -21,7 +21,8 @@ from .c0ip import (
     assemble_load,
     combine_norms,
     edge_points,
-    edge_side_data,
+    edge_side_group,
+    edge_sides,
     matrix_norms,
 )
 from .fem import P2, QuadratureRule
@@ -46,6 +47,9 @@ __all__ = [
 # need a much finer rule to keep measurement error out of the EOC columns
 _TRI_RULE = QuadratureRule.triangle(16)
 _EDGE_RULE = QuadratureRule.interval(19)
+# edges per slice of the error path's edge tables, so that its 10-point
+# normal-derivative tables never exist for all edges at once
+_EDGE_CHUNK = 4096
 # finest mesh level a reference solve may use
 MAX_REFERENCE_LEVEL = 8
 
@@ -191,42 +195,62 @@ def error_l2(v, exact_value, disc):
     return float(np.sqrt(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights)))
 
 
-def _error_h_sq(v, exact, disc, groups):
+def _normal_derivatives_at_edges(v, disc, sides, lap):
+    """Sum over ``sides`` of the outward normal derivative of v_h; (n, Q).
+
+    ``sides`` are ``edge_sides`` groups over the same edges.  Their tables
+    are built ``_EDGE_CHUNK`` edges at a time; every row depends on its own
+    edge only, so the result is that of the whole tables.
+    """
+    n = len(sides[0][0])
+    out = np.empty((n, len(_EDGE_RULE.weights)))
+    for start in range(0, n, _EDGE_CHUNK):
+        chunk = slice(start, start + _EDGE_CHUNK)
+        total = None
+        for edges, tri_ids, out_sign in sides:
+            g = edge_side_group(disc, (edges[chunk], tri_ids[chunk], out_sign), _EDGE_RULE, lap)
+            dn_v = np.einsum("eiq,ei->eq", g.dn, v[g.dofs])
+            total = dn_v if total is None else total + dn_v
+        out[chunk] = total
+    return out
+
+
+def _error_h_sq(v, exact, disc, sides, lap):
     """Squared h-norm error: broken Laplacian part plus sigma-weighted jumps."""
     mesh, geom = disc.mesh, disc.geom
     pts = geom.to_physical(_TRI_RULE.points)
-    lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[disc.dofmap.cell_dofs])
+    lap_disc = np.einsum("tb,tb->t", lap, v[disc.dofmap.cell_dofs])
     diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
     vol = float(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights))
 
-    bnd, im, ip = groups
+    bnd, im, ip = sides
     w = _EDGE_RULE.weights
-    jump_b = np.einsum("eiq,ei->eq", bnd.dn, v[bnd.dofs])
+    jump_b = _normal_derivatives_at_edges(v, disc, (bnd,), lap)
     # exact normal derivative on boundary edges
-    pts_b = edge_points(mesh, bnd.edges, _EDGE_RULE)
+    edges_b = bnd[0]
+    pts_b = edge_points(mesh, edges_b, _EDGE_RULE)
     gx, gy = exact.gradient(pts_b[..., 0], pts_b[..., 1])
-    n = mesh.edge_normal[bnd.edges]
+    n = mesh.edge_normal[edges_b]
     jump_b = jump_b - (
         np.broadcast_to(np.asarray(gx, dtype=float), pts_b.shape[:2]) * n[:, None, 0]
         + np.broadcast_to(np.asarray(gy, dtype=float), pts_b.shape[:2]) * n[:, None, 1]
     )
-    jump_i = np.einsum("eiq,ei->eq", im.dn, v[im.dofs]) + np.einsum(
-        "eiq,ei->eq", ip.dn, v[ip.dofs]
-    )
+    jump_i = _normal_derivatives_at_edges(v, disc, (im, ip), lap)
     edge = disc.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
     return vol + edge
 
 
-def _error_mean_sq(v, exact, mesh, groups):
+def _error_mean_sq(v, exact, disc, sides, lap):
     """Squared |e|-weighted error of the Laplacian means over all edges."""
-    bnd, im, ip = groups
+    mesh, cell_dofs = disc.mesh, disc.dofmap.cell_dofs
+    bnd, im, ip = sides
     w = _EDGE_RULE.weights
     total = 0.0
-    for sides, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
-        edges = sides[0].edges
+    for group, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
+        edges = group[0][0]
         mean_disc = np.zeros(len(edges))
-        for g, mw in zip(sides, weights):
-            mean_disc += mw * np.einsum("ei,ei->e", g.lap, v[g.dofs])
+        for (_, tri_ids, _), mw in zip(group, weights):
+            mean_disc += mw * np.einsum("ei,ei->e", lap[tri_ids], v[cell_dofs[tri_ids]])
         pts = edge_points(mesh, edges, _EDGE_RULE)
         mean_ex = np.broadcast_to(
             np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float),
@@ -244,10 +268,10 @@ def _exact_errors(v, exact, disc, norms):
         # squaring is exact to undo: sqrt(x**2) == x in binary floating point
         l2sq = error_l2(v, exact.value, disc) ** 2
     if any(n in norms for n in ("h", "energy", "qh")):
-        groups = edge_side_data(disc, rule=_EDGE_RULE)
-        hsq = _error_h_sq(v, exact, disc, groups)
+        sides, lap = edge_sides(disc.mesh), disc.geom.laplacians()
+        hsq = _error_h_sq(v, exact, disc, sides, lap)
         if "qh" in norms:
-            meansq = _error_mean_sq(v, exact, disc.mesh, groups)
+            meansq = _error_mean_sq(v, exact, disc, sides, lap)
     return combine_norms(norms, l2sq, hsq, meansq)
 
 

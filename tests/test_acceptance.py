@@ -77,7 +77,7 @@ def test_criterion_1_clamped_plate_rates():
 
 
 def test_criterion_2_cahn_hilliard_rates():
-    """Cosine case on the unit square plus the large-angle pentagon study."""
+    """Cosine case on the unit square plus the irregular-pentagon study."""
     rep = run_study("cosine", [2, 3, 4, 5], norms=("l2", "h"))
     eoc_h = rep.eoc["h"][-1]
     defect = rep.compatibility_defect

@@ -239,3 +239,100 @@ def test_exact_error_path_matches_norm_matrices(domain, level, rng=np.random.def
     mat = matrix_norms(v, disc, NORM_NAMES)
     for name in NORM_NAMES:
         assert quad[name] == pytest.approx(mat[name], rel=1e-12, abs=0.0)
+
+
+def _whole_table_errors(v, exact, disc, norms):
+    """The exact-error path on whole edge tables: the reference for the chunked one."""
+    from c0ip.c0ip import combine_norms, edge_points, edge_side_data
+    from c0ip.fem import P2, QuadratureRule
+    from c0ip.study import error_l2
+
+    tri_rule, rule = QuadratureRule.triangle(16), QuadratureRule.interval(19)
+    mesh, geom = disc.mesh, disc.geom
+    w = rule.weights
+    bnd, im, ip = edge_side_data(disc, rule=rule)
+
+    pts = geom.to_physical(tri_rule.points)
+    lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[disc.dofmap.cell_dofs])
+    diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
+    vol = float(2.0 * geom.area @ (diff**2 @ tri_rule.weights))
+    jump_b = np.einsum("eiq,ei->eq", bnd.dn, v[bnd.dofs])
+    pts_b = edge_points(mesh, bnd.edges, rule)
+    gx, gy = exact.gradient(pts_b[..., 0], pts_b[..., 1])
+    n = mesh.edge_normal[bnd.edges]
+    jump_b = jump_b - (
+        np.broadcast_to(np.asarray(gx, dtype=float), pts_b.shape[:2]) * n[:, None, 0]
+        + np.broadcast_to(np.asarray(gy, dtype=float), pts_b.shape[:2]) * n[:, None, 1]
+    )
+    jump_i = np.einsum("eiq,ei->eq", im.dn, v[im.dofs]) + np.einsum(
+        "eiq,ei->eq", ip.dn, v[ip.dofs]
+    )
+    hsq = vol + disc.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
+
+    meansq = 0.0
+    for sides, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
+        edges = sides[0].edges
+        mean_disc = np.zeros(len(edges))
+        for g, mw in zip(sides, weights):
+            mean_disc += mw * np.einsum("ei,ei->e", g.lap, v[g.dofs])
+        pts = edge_points(mesh, edges, rule)
+        mean_ex = np.broadcast_to(
+            np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
+        )
+        diff = mean_disc[:, None] - mean_ex
+        meansq += float(mesh.edge_length[edges] ** 2 @ ((diff**2) @ w))
+    return combine_norms(norms, error_l2(v, exact.value, disc) ** 2, hsq, meansq)
+
+
+def _jittered_hexagon(rng):
+    from c0ip.mesh import Polygon
+
+    angles = np.arange(6) * np.pi / 3.0 + rng.uniform(-0.08, 0.08, 6)
+    radii = 1.0 + rng.uniform(-0.05, 0.05, 6)
+    return Polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
+
+
+@pytest.mark.parametrize(
+    "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
+)
+def test_chunked_exact_errors_bit_identical_to_whole_tables(domain, monkeypatch):
+    """Built 7 edges at a time, with a partial last chunk in every group,
+    the exact-error path gives the whole-table values bit for bit."""
+    import c0ip.study
+
+    monkeypatch.setattr(c0ip.study, "_EDGE_CHUNK", 7)
+    rng = np.random.default_rng(29)
+    poly = _jittered_hexagon(rng) if domain == "jittered-hexagon" else built_in_polygon(domain)
+    hierarchy = mesh_hierarchy(poly, 4)
+    for level in (1, 2, 4):
+        disc = Discretization(hierarchy[level])
+        v = rng.standard_normal(disc.dofmap.n_dofs)
+        for case in ("bubble", "cosine"):
+            exact = get_case(case).exact
+            assert _exact_errors(v, exact, disc, NORM_NAMES) == _whole_table_errors(
+                v, exact, disc, NORM_NAMES
+            ), (level, case)
+
+
+def test_exact_errors_build_edge_tables_one_chunk_at_a_time(monkeypatch):
+    """No edge table inside the exact-error path covers more than one chunk of edges."""
+    import c0ip.study
+    from c0ip.fem import P2
+
+    gradients = P2.gradients
+    rows = []
+
+    def spy(points):
+        rows.append(points.shape[0])
+        return gradients(points)
+
+    monkeypatch.setattr(P2, "gradients", spy)
+    disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 5)[5])
+    v = np.random.default_rng(31).standard_normal(disc.dofmap.n_dofs)
+    _exact_errors(v, get_case("bubble").exact, disc, NORM_NAMES)
+    mesh = disc.mesh
+    n_interior = mesh.n_edges - int(mesh.is_boundary_edge.sum())
+    assert n_interior > c0ip.study._EDGE_CHUNK
+    # every side of every edge, once
+    assert sum(rows) == mesh.n_edges + n_interior
+    assert max(rows) <= c0ip.study._EDGE_CHUNK

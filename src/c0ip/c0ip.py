@@ -16,7 +16,9 @@ spaces is verified empirically (see the property test suite).
 A ``Discretization`` is this method on one mesh: it owns the geometry, the
 dof map, sigma and the coupling sign, and keeps the stiffness, mass and
 norm matrices once assembled.  Every assembler takes it, and one function,
-``_assemble``, sums every matrix from element blocks.
+``_assemble``, sums every matrix from element blocks.  Every element loop
+runs over chunks of ``_CHUNK`` edges or triangles (``chunks``,
+``edge_chunks``), so its temporaries stay cache-sized.
 """
 
 import inspect
@@ -44,12 +46,17 @@ __all__ = [
     "edge_points",
     "edge_side_data",
     "edge_sides",
-    "edge_side_group",
+    "edge_chunks",
+    "chunks",
 ]
 
 _TRI_RULE = QuadratureRule.triangle(6)
 _EDGE_RULE = QuadratureRule.interval(9)
 NORM_NAMES = ("l2", "h", "energy", "qh")
+# edges or triangles per chunk of every element loop, so that edge tables,
+# blocks and quadrature temporaries stay cache-sized
+_CHUNK = 1024
+_BLOCK = P2.n_basis**2  # COO entries per element block
 
 
 class Discretization:
@@ -58,10 +65,10 @@ class Discretization:
     Holds the P2 geometry and dof map, the penalty weight and the
     edge-coupling sign.  ``A`` (the form a_h), ``M`` (the mass matrix) and
     the two norm matrices are assembled the first time each is used and
-    kept.  Edge tables are rebuilt for each assembly and never kept: at
-    hexagon level 7 they take 66 MB, which would stay alive while ``A`` is
-    factored.  An assembly frees them before it allocates its COO triplets,
-    which it writes once (``_assemble``).
+    kept.  Edge tables are never kept: whole, at hexagon level 7, they
+    would take 66 MB while ``A`` is factored.  An assembly allocates its
+    COO triplets once, then builds the tables one chunk of edges at a time
+    and writes each chunk's blocks straight into them (``_assemble``).
 
     The default sigma = 10 keeps the constrained systems positive definite
     on every built-in domain at every tested level; the observed coercivity
@@ -103,7 +110,7 @@ class Discretization:
 
 @dataclass(frozen=True)
 class EdgeSideGroup:
-    """Per-side edge data for one group (boundary, interior-minus, interior-plus).
+    """Per-side edge data for one side (boundary, interior-minus, interior-plus) of some edges.
 
     ``dn`` holds the outward normal derivative of the six local shape
     functions of the adjacent triangle at the edge quadrature points.
@@ -116,54 +123,78 @@ class EdgeSideGroup:
     length: np.ndarray     # (n,)
 
 
+def chunks(n):
+    """Slices of ``_CHUNK`` rows that cover range(n) in order.
+
+    A last chunk of one row joins the one before it: numpy multiplies a
+    one-row matrix by gemv instead of gemm, whose sums round differently.
+    """
+    starts = list(range(0, n, _CHUNK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
 def edge_points(mesh, edges, rule):
     """Physical quadrature points on ``edges``, lower to higher vertex; (n, Q, 2)."""
     pa = mesh.vertices[mesh.edge_vertices[edges, 0]]
     pb = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    return pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
-
-
-def edge_side_data(disc, rule=_EDGE_RULE):
-    """Edge-side evaluation tables: (boundary, interior_minus, interior_plus).
-
-    Quadrature points run along each edge from its lower to its higher
-    vertex index, so the two sides of an interior edge share physical points.
-    """
-    lap = disc.geom.laplacians()
-    return tuple(edge_side_group(disc, side, rule, lap) for side in edge_sides(disc.mesh))
+    out = np.empty((len(pa), len(rule.points), 2))
+    for i in range(2):
+        out[..., i] = pa[:, i, None] + rule.points * (pb[:, i] - pa[:, i])[:, None]
+    return out
 
 
 def edge_sides(mesh):
-    """(edge ids, adjacent triangles, outward sign) of the boundary,
-    interior-minus and interior-plus side groups."""
+    """The side groups of the boundary edges and of the interior edges.
+
+    A group is a tuple of (edge ids, adjacent triangles, outward sign)
+    sides over the same edges: ``(boundary,)`` and ``(minus, plus)``.
+    """
     boundary = np.flatnonzero(mesh.is_boundary_edge)
     interior = np.flatnonzero(~mesh.is_boundary_edge)
     return (
-        (boundary, mesh.edge_t_minus[boundary], +1.0),
-        (interior, mesh.edge_t_minus[interior], +1.0),
-        (interior, mesh.edge_t_plus[interior], -1.0),
+        ((boundary, mesh.edge_t_minus[boundary], +1.0),),
+        ((interior, mesh.edge_t_minus[interior], +1.0),
+         (interior, mesh.edge_t_plus[interior], -1.0)),
     )
 
 
-def edge_side_group(disc, side, rule, lap):
-    """The ``EdgeSideGroup`` of one side group, or of any slice of its edges.
+def edge_side_data(disc, sides, lap, rule=_EDGE_RULE):
+    """The ``EdgeSideGroup`` tables of a side group of ``edge_sides``, or of one chunk of it.
 
-    ``side`` is an (edges, triangles, outward sign) triple of ``edge_sides``
-    and ``lap`` the mesh's ``geom.laplacians()``; every row depends on its
-    own edge only, so a slice gives the matching rows of the whole table.
+    ``lap`` is the mesh's ``geom.laplacians()``.  Quadrature points run
+    along each edge from its lower to its higher vertex index, so the two
+    sides of an interior edge share physical points.  Every row depends on
+    its own edge only, so a slice of the sides gives the matching rows of
+    the whole tables.
     """
     mesh, geom = disc.mesh, disc.geom
-    edges, tri_ids, out_sign = side
-    ref = geom.to_reference(tri_ids[:, None], edge_points(mesh, edges, rule))
-    gref = P2.gradients(ref)                         # (n, Q, 6, 2)
-    nrm = out_sign * mesh.edge_normal[edges]         # outward for this side
-    return EdgeSideGroup(
-        edges=edges,
-        dofs=disc.dofmap.cell_dofs[tri_ids],
-        dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
-        lap=lap[tri_ids],
-        length=mesh.edge_length[edges],
-    )
+    pts = edge_points(mesh, sides[0][0], rule)
+    tables = []
+    for edges, tri_ids, out_sign in sides:
+        gref = P2.gradients(geom.to_reference(tri_ids[:, None], pts))  # (n, Q, 6, 2)
+        nrm = out_sign * mesh.edge_normal[edges]                       # outward for this side
+        tables.append(
+            EdgeSideGroup(
+                edges=edges,
+                dofs=disc.dofmap.cell_dofs[tri_ids],
+                dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
+                lap=lap[tri_ids],
+                length=mesh.edge_length[edges],
+            )
+        )
+    return tuple(tables)
+
+
+def edge_chunks(disc, sides, lap, rule=_EDGE_RULE):
+    """The tables of the side group ``sides``, ``_CHUNK`` edges at a time.
+
+    Yields (rows, tables): the chunk's slice of the group's edges and its
+    ``edge_side_data``.  No table covers more than one chunk.
+    """
+    for rows in chunks(len(sides[0][0])):
+        yield rows, edge_side_data(disc, [(e[rows], t[rows], s) for e, t, s in sides], lap, rule)
 
 
 def _normal_derivatives(gref, jinv, nrm):
@@ -189,54 +220,80 @@ def _normal_derivatives(gref, jinv, nrm):
     return dx.transpose(0, 2, 1)
 
 
-def _assemble(disc, pieces):
-    """One CSR matrix summed from a list of (row dofs, column dofs, blocks) pieces.
+def _side_pairs(sides):
+    """(side a, side b, mean weight) for every pair of sides of a group sharing an edge."""
+    k = len(sides)
+    return [(a, b, 1.0 / k) for a in range(k) for b in range(k)]
 
-    The COO triplets are allocated once, at the total entry count, and each
-    piece is broadcast into its slice in list order: block entry (e, i, j)
-    goes to row ``row_dofs[e, i]`` and column ``col_dofs[e, j]``.  The list
-    is emptied as it is written, so each piece's blocks are freed before
-    the next is copied and none is alive while scipy builds the CSR.
+
+def _assemble(disc, volume=None, edge=None):
+    """One CSR matrix summed from element blocks, written chunk by chunk into one COO.
+
+    ``volume(cells, lap)`` gives the (n, 6, 6) blocks of a chunk of
+    triangles on their own dofs, ``lap`` being the mesh's Laplacians.
+    ``edge(tables, pairs)`` yields, for a chunk of a side group's tables,
+    one block per ``_side_pairs`` entry (a, b, mean weight), in that order:
+    entry (e, i, j) couples dof i of side a with dof j of side b on edge e.
     """
-    total = sum(blocks.size for _, _, blocks in pieces)
-    # int32 indices: scipy keeps int32 anyway, but downcasts only after a full int64 copy
-    rows = np.empty(total, dtype=np.int32)
-    cols = np.empty(total, dtype=np.int32)
-    vals = np.empty(total)
-    start = 0
-    while pieces:
-        row_dofs, col_dofs, blocks = pieces.pop(0)
-        stop = start + blocks.size
-        rows[start:stop].reshape(blocks.shape)[...] = row_dofs[:, :, None]
-        cols[start:stop].reshape(blocks.shape)[...] = col_dofs[:, None, :]
-        vals[start:stop].reshape(blocks.shape)[...] = blocks
-        start = stop
-        del row_dofs, col_dofs, blocks
+    rows, cols, vals = _coo_triplets(disc, volume, edge)
     n = disc.dofmap.n_dofs
     a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     a.sum_duplicates()
     return a
 
 
-def _volume_piece(disc):
+def _coo_triplets(disc, volume, edge):
+    """The COO triplets of ``_assemble``: int32 rows and columns, float64 values.
+
+    They are allocated once at the total entry count.  Their pieces are the
+    volume blocks, then each side pair of the boundary group, then each of
+    the interior group, and every chunk writes straight into its rows of its
+    piece.  The entry order, and with it scipy's duplicate sums, is that of
+    whole pieces written in turn, yet no table or block covers more than
+    one chunk of edges or triangles, and none is alive once this returns.
+    """
+    mesh, cell_dofs = disc.mesh, disc.dofmap.cell_dofs
+    groups = edge_sides(mesh) if edge is not None else ()
+    n_blocks = (mesh.n_triangles if volume is not None else 0) + sum(
+        len(sides[0][0]) * len(sides) ** 2 for sides in groups
+    )
+    # int32 indices: scipy keeps int32 anyway, but downcasts only after a full int64 copy
+    rows = np.empty(n_blocks * _BLOCK, dtype=np.int32)
+    cols = np.empty(n_blocks * _BLOCK, dtype=np.int32)
+    vals = np.empty(n_blocks * _BLOCK)
+
+    def write(start, row_dofs, col_dofs, blocks):
+        stop = start + blocks.size
+        rows[start:stop].reshape(blocks.shape)[...] = row_dofs[:, :, None]
+        cols[start:stop].reshape(blocks.shape)[...] = col_dofs[:, None, :]
+        vals[start:stop].reshape(blocks.shape)[...] = blocks
+
     lap = disc.geom.laplacians()
-    cell_dofs = disc.dofmap.cell_dofs
-    return cell_dofs, cell_dofs, np.einsum("t,ti,tj->tij", disc.geom.area, lap, lap)
+    offset = 0
+    if volume is not None:
+        for cells in chunks(mesh.n_triangles):
+            write(_BLOCK * cells.start, cell_dofs[cells], cell_dofs[cells], volume(cells, lap))
+        offset = _BLOCK * mesh.n_triangles
+    for sides in groups:
+        n, pairs = len(sides[0][0]), _side_pairs(sides)
+        for chunk, tables in edge_chunks(disc, sides, lap):
+            for k, ((a, b, _), blocks) in enumerate(zip(pairs, edge(tables, pairs))):
+                write(offset + _BLOCK * (k * n + chunk.start), tables[a].dofs, tables[b].dofs, blocks)
+        offset += _BLOCK * n * len(pairs)
+    return rows, cols, vals
 
 
-def _side_pairs(groups):
-    """(side a, side b, mean weight) for every pair of sides sharing an edge."""
-    bnd, im, ip = groups
-    return [(bnd, bnd, 1.0)] + [(a, b, 0.5) for a in (im, ip) for b in (im, ip)]
+def _volume_blocks(disc):
+    area = disc.geom.area
+    return lambda cells, lap: np.einsum("t,ti,tj->tij", area[cells], lap[cells], lap[cells])
 
 
 def _penalty(disc, a, b):
     return disc.sigma * np.einsum("q,eiq,ejq->eij", _EDGE_RULE.weights, a.dn, b.dn)
 
 
-def _coupling(disc, a, b, mean_weight):
+def _coupling(disc, a, b, jint_a, jint_b, mean_weight):
     # |e| * [ mean(lap_a) x int(jump_b) + int(jump_a) x mean(lap_b) ]
-    jint_a, jint_b = a.dn @ _EDGE_RULE.weights, b.dn @ _EDGE_RULE.weights
     return float(disc.consistency_sign) * mean_weight * a.length[:, None, None] * (
         np.einsum("ei,ej->eij", a.lap, jint_b) + np.einsum("ei,ej->eij", jint_a, b.lap)
     )
@@ -244,44 +301,49 @@ def _coupling(disc, a, b, mean_weight):
 
 def assemble_volume_norm_matrix(disc):
     """Matrix of the broken Laplacian product sum_T (Lap v, Lap w)_T."""
-    return _assemble(disc, [_volume_piece(disc)])
+    return _assemble(disc, volume=_volume_blocks(disc))
 
 
 def assemble_a_h(disc):
     """The interior penalty bilinear form as a sparse symmetric matrix."""
-    # every block is computed, and the edge tables freed, before the COO is allocated
-    pieces = [_volume_piece(disc)] + [
-        (a.dofs, b.dofs, _penalty(disc, a, b) + _coupling(disc, a, b, mw))
-        for a, b, mw in _side_pairs(edge_side_data(disc))
-    ]
-    return _assemble(disc, pieces)
+
+    def edge_blocks(tables, pairs):
+        # each side's jump integral int_e dv/dn, once per chunk
+        jint = [t.dn @ _EDGE_RULE.weights for t in tables]
+        for a, b, mw in pairs:
+            ta, tb = tables[a], tables[b]
+            yield _penalty(disc, ta, tb) + _coupling(disc, ta, tb, jint[a], jint[b], mw)
+
+    return _assemble(disc, volume=_volume_blocks(disc), edge=edge_blocks)
 
 
 def assemble_penalty_matrix(disc):
     """Only the sigma/|e| jump penalty part (the edge part of the h-norm)."""
-    pieces = [
-        (a.dofs, b.dofs, _penalty(disc, a, b))
-        for a, b, _ in _side_pairs(edge_side_data(disc))
-    ]
-    return _assemble(disc, pieces)
+
+    def edge_blocks(tables, pairs):
+        return (_penalty(disc, tables[a], tables[b]) for a, b, _ in pairs)
+
+    return _assemble(disc, edge=edge_blocks)
 
 
 def assemble_mean_norm_matrix(disc):
     """Matrix of sum_e |e| || mean(Lap v) ||_e^2 (edge part of the Q_h norm)."""
-    # the mean is constant along the edge: |e| * int_e mean*mean = |e|^2 * product
-    pieces = [
-        (a.dofs, b.dofs, mw * mw * np.einsum("e,ei,ej->eij", a.length**2, a.lap, b.lap))
-        for a, b, mw in _side_pairs(edge_side_data(disc))
-    ]
-    return _assemble(disc, pieces)
+
+    def edge_blocks(tables, pairs):
+        # the mean is constant along the edge: |e| * int_e mean*mean = |e|^2 * product
+        for a, b, mw in pairs:
+            ta, tb = tables[a], tables[b]
+            yield mw * mw * np.einsum("e,ei,ej->eij", ta.length**2, ta.lap, tb.lap)
+
+    return _assemble(disc, edge=edge_blocks)
 
 
 def assemble_mass(disc):
     """P2 mass matrix."""
     vals = P2.values(_TRI_RULE.points)                  # (Q, 6)
     mref = np.einsum("q,qi,qj->ij", _TRI_RULE.weights, vals, vals)
-    cell_dofs = disc.dofmap.cell_dofs
-    return _assemble(disc, [(cell_dofs, cell_dofs, 2.0 * disc.geom.area[:, None, None] * mref)])
+    area = disc.geom.area
+    return _assemble(disc, volume=lambda cells, lap: 2.0 * area[cells, None, None] * mref)
 
 
 def _field_values(f, x, y, *normal):
@@ -311,13 +373,14 @@ def boundary_values(g2, mesh, edges, pts):
 
 def assemble_load(disc, f):
     """Load vector b_i = int_Omega f N_i by triangle quadrature."""
-    geom = disc.geom
-    pts = geom.to_physical(_TRI_RULE.points)            # (nt, Q, 2)
-    fv = _field_values(f, pts[..., 0], pts[..., 1])
+    geom, cell_dofs = disc.geom, disc.dofmap.cell_dofs
     vals = P2.values(_TRI_RULE.points)
-    contrib = 2.0 * geom.area[:, None] * np.einsum("q,tq,qb->tb", _TRI_RULE.weights, fv, vals)
     b = np.zeros(disc.dofmap.n_dofs)
-    np.add.at(b, disc.dofmap.cell_dofs, contrib)
+    for cells in chunks(disc.mesh.n_triangles):
+        pts = geom.to_physical(_TRI_RULE.points, cells)    # (n, Q, 2)
+        fv = _field_values(f, pts[..., 0], pts[..., 1])
+        contrib = 2.0 * geom.area[cells, None] * np.einsum("q,tq,qb->tb", _TRI_RULE.weights, fv, vals)
+        np.add.at(b, cell_dofs[cells], contrib)
     return b
 
 
@@ -327,18 +390,18 @@ def assemble_boundary_load(disc, g2):
     ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
     """
     mesh = disc.mesh
-    edges = np.flatnonzero(mesh.is_boundary_edge)
+    boundary = np.flatnonzero(mesh.is_boundary_edge)
     b = np.zeros(disc.dofmap.n_dofs)
-    if len(edges) == 0:
-        return b
-    pts = edge_points(mesh, edges, _EDGE_RULE)
-    gv = boundary_values(g2, mesh, edges, pts)
-    tri_ids = mesh.edge_t_minus[edges]
-    vals = P2.values(disc.geom.to_reference(tri_ids[:, None], pts))  # (ne, Q, 6)
-    contrib = mesh.edge_length[edges][:, None] * np.einsum(
-        "q,eq,eqb->eb", _EDGE_RULE.weights, gv, vals
-    )
-    np.add.at(b, disc.dofmap.cell_dofs[tri_ids], contrib)
+    for rows in chunks(len(boundary)):
+        edges = boundary[rows]
+        pts = edge_points(mesh, edges, _EDGE_RULE)
+        gv = boundary_values(g2, mesh, edges, pts)
+        tri_ids = mesh.edge_t_minus[edges]
+        vals = P2.values(disc.geom.to_reference(tri_ids[:, None], pts))  # (n, Q, 6)
+        contrib = mesh.edge_length[edges][:, None] * np.einsum(
+            "q,eq,eqb->eb", _EDGE_RULE.weights, gv, vals
+        )
+        np.add.at(b, disc.dofmap.cell_dofs[tri_ids], contrib)
     return b
 
 

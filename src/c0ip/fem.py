@@ -70,12 +70,15 @@ class ReferenceElement:
         """Reference gradients at reference points; shape (..., 6, 2)."""
         lam = self._bary(points)
         out = np.empty(lam.shape[:-1] + (6, 2))
+        # one component at a time: long inner loops, the products of a
+        # broadcast over the length-2 axis bit for bit (signed zeros included)
         for i in range(3):
-            out[..., i, :] = (4.0 * lam[..., i, None] - 1.0) * _GRADL[i]
+            slope = 4.0 * lam[..., i] - 1.0
+            for c in range(2):
+                out[..., i, c] = slope * _GRADL[i, c]
         for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
-            out[..., 3 + k, :] = 4.0 * (
-                lam[..., i, None] * _GRADL[j] + lam[..., j, None] * _GRADL[i]
-            )
+            for c in range(2):
+                out[..., 3 + k, c] = 4.0 * (lam[..., i] * _GRADL[j, c] + lam[..., j] * _GRADL[i, c])
         return out
 
 
@@ -153,19 +156,26 @@ class TriangleGeometry:
         inv[:, 1, 1] = jac[:, 0, 0] / det
         return TriangleGeometry(v0=v[t[:, 0]], jac=jac, jac_inv=inv, area=0.5 * det)
 
-    def to_physical(self, ref_points):
-        """Map reference points (Q, 2) into every triangle; (nt, Q, 2)."""
-        # the two-term sum of einsum("tij,qj->tqi", jac, ref_points), term for term
-        jac = self.jac[:, None, :, :]
-        return self.v0[:, None, :] + (
-            jac[..., 0] * ref_points[:, None, 0] + jac[..., 1] * ref_points[:, None, 1]
-        )
+    def to_physical(self, ref_points, cells=slice(None)):
+        """Map reference points (Q, 2) into the triangles ``cells`` (default all); (n, Q, 2)."""
+        # the two-term sum of einsum("tij,qj->tqi", jac, ref_points), term for
+        # term, one component at a time
+        jac, v0 = self.jac[cells], self.v0[cells]
+        out = np.empty((len(v0), len(ref_points), 2))
+        for i in range(2):
+            out[..., i] = v0[:, i, None] + (
+                jac[:, i, 0, None] * ref_points[:, 0] + jac[:, i, 1, None] * ref_points[:, 1]
+            )
+        return out
 
     def to_reference(self, cells, points):
         """Reference coordinates of physical ``points`` inside ``cells``."""
         d = points - self.v0[cells]
         jinv = self.jac_inv[cells]
-        return jinv[..., 0] * d[..., None, 0] + jinv[..., 1] * d[..., None, 1]
+        out = np.empty(d.shape)
+        for k in range(2):
+            out[..., k] = jinv[..., k, 0] * d[..., 0] + jinv[..., k, 1] * d[..., 1]
+        return out
 
     def laplacians(self):
         """Physical Laplacian of each shape function; constant, (nt, 6)."""

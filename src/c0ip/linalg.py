@@ -208,6 +208,8 @@ def cg_solve(apply_A, b, tol=1e-12, max_iter=None, precond=None):
 def constrain(A, fixed_dofs):
     """Eliminate fixed dofs symmetrically: returns A[free][:, free] and free.
 
+    The reduced CSR is read off A's own arrays through one mask of the
+    entries whose row and column are both free, with no intermediate copy.
     A non-canonical A has its duplicate entries summed on a copy, so the
     caller's arrays are never touched; a fixed id outside [0, n) raises
     ``ValueError``.
@@ -221,5 +223,20 @@ def constrain(A, fixed_dofs):
     bad = fixed[(fixed < 0) | (fixed >= n)]
     if len(bad):
         raise ValueError(f"fixed dof id {bad[0]} is outside [0, {n})")
-    free = np.setdiff1d(np.arange(n), fixed)
-    return (A[free][:, free] if len(fixed) else A), free
+    is_free = np.ones(n, dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    if not len(fixed):
+        return A, free
+    keep = is_free[A.indices]
+    keep &= np.repeat(is_free, np.diff(A.indptr))
+    # kept_before[k] counts the kept entries among the first k, so at a free
+    # row's start and end it gives that row's extent in the result
+    kept_before = np.zeros(len(keep) + 1, dtype=A.indptr.dtype)
+    np.cumsum(keep, out=kept_before[1:])
+    new_col = np.cumsum(is_free, dtype=A.indices.dtype) - 1
+    reduced = sp.csr_matrix(
+        (A.data[keep], new_col[A.indices[keep]], kept_before[A.indptr[np.append(free, n)]]),
+        shape=(len(free), len(free)),
+    )
+    return reduced, free

@@ -19,9 +19,10 @@ from .c0ip import (
     NORM_NAMES,
     Discretization,
     assemble_load,
+    chunks,
     combine_norms,
+    edge_chunks,
     edge_points,
-    edge_side_group,
     edge_sides,
     matrix_norms,
 )
@@ -47,9 +48,6 @@ __all__ = [
 # need a much finer rule to keep measurement error out of the EOC columns
 _TRI_RULE = QuadratureRule.triangle(16)
 _EDGE_RULE = QuadratureRule.interval(19)
-# edges per slice of the error path's edge tables, so that its 10-point
-# normal-derivative tables never exist for all edges at once
-_EDGE_CHUNK = 4096
 # finest mesh level a reference solve may use
 MAX_REFERENCE_LEVEL = 8
 
@@ -186,92 +184,103 @@ def get_case(name):
 # error norms against exact fields
 # ---------------------------------------------------------------------------
 
+def _volume_error_sq(disc, integrands):
+    """Squared L2 norm over the mesh of each integrand, by triangle quadrature.
+
+    ``integrand(cells, x, y)`` gives the integrand at the physical
+    quadrature points (x, y) of the triangles ``cells``; one set of points
+    serves every integrand.  Integrands are evaluated one chunk of triangles
+    at a time, and their squares reduced over full-length arrays: BLAS
+    rounds each row of a matrix-vector product by the row's position in
+    its block, so the values are those of whole arrays.
+    """
+    geom = disc.geom
+    sq = [np.empty((disc.mesh.n_triangles, len(_TRI_RULE.weights))) for _ in integrands]
+    for cells in chunks(disc.mesh.n_triangles):
+        pts = geom.to_physical(_TRI_RULE.points, cells)
+        for out, integrand in zip(sq, integrands):
+            np.square(integrand(cells, pts[..., 0], pts[..., 1]), out=out[cells])
+    return [float(2.0 * geom.area @ (s @ _TRI_RULE.weights)) for s in sq]
+
+
+def _value_error(v, exact_value, disc):
+    basis = P2.values(_TRI_RULE.points).T
+    cell_dofs = disc.dofmap.cell_dofs
+    return lambda cells, x, y: v[cell_dofs[cells]] @ basis - exact_value(x, y)
+
+
+def _laplacian_error(v, exact_laplacian, disc, lap):
+    lap_disc = np.einsum("tb,tb->t", lap, v[disc.dofmap.cell_dofs])
+    return lambda cells, x, y: exact_laplacian(x, y) - lap_disc[cells, None]
+
+
 def error_l2(v, exact_value, disc):
     """L2 norm of v_h minus the exact field, by triangle quadrature."""
-    geom = disc.geom
-    pts = geom.to_physical(_TRI_RULE.points)
-    vh = v[disc.dofmap.cell_dofs] @ P2.values(_TRI_RULE.points).T
-    diff = vh - exact_value(pts[..., 0], pts[..., 1])
-    return float(np.sqrt(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights)))
+    return float(np.sqrt(_volume_error_sq(disc, [_value_error(v, exact_value, disc)])[0]))
 
 
-def _normal_derivatives_at_edges(v, disc, sides, lap):
-    """Sum over ``sides`` of the outward normal derivative of v_h; (n, Q).
+def _edge_error_sq(v, exact, disc, lap, means):
+    """Edge parts of the squared h-norm and Q_h-norm errors.
 
-    ``sides`` are ``edge_sides`` groups over the same edges.  Their tables
-    are built ``_EDGE_CHUNK`` edges at a time; every row depends on its own
-    edge only, so the result is that of the whole tables.
+    Returns the squared normal-derivative jumps of v_h minus the exact field
+    (its normal derivative on boundary edges) and, if ``means``, the
+    |e|-weighted squared errors of the Laplacian means (else None).  The
+    edge tables and integrands are built one chunk of edges at a time, and
+    the squares reduced over full-length arrays as in ``_volume_error_sq``.
     """
-    n = len(sides[0][0])
-    out = np.empty((n, len(_EDGE_RULE.weights)))
-    for start in range(0, n, _EDGE_CHUNK):
-        chunk = slice(start, start + _EDGE_CHUNK)
-        total = None
-        for edges, tri_ids, out_sign in sides:
-            g = edge_side_group(disc, (edges[chunk], tri_ids[chunk], out_sign), _EDGE_RULE, lap)
-            dn_v = np.einsum("eiq,ei->eq", g.dn, v[g.dofs])
-            total = dn_v if total is None else total + dn_v
-        out[chunk] = total
-    return out
-
-
-def _error_h_sq(v, exact, disc, sides, lap):
-    """Squared h-norm error: broken Laplacian part plus sigma-weighted jumps."""
-    mesh, geom = disc.mesh, disc.geom
-    pts = geom.to_physical(_TRI_RULE.points)
-    lap_disc = np.einsum("tb,tb->t", lap, v[disc.dofmap.cell_dofs])
-    diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
-    vol = float(2.0 * geom.area @ (diff**2 @ _TRI_RULE.weights))
-
-    bnd, im, ip = sides
-    w = _EDGE_RULE.weights
-    jump_b = _normal_derivatives_at_edges(v, disc, (bnd,), lap)
-    # exact normal derivative on boundary edges
-    edges_b = bnd[0]
-    pts_b = edge_points(mesh, edges_b, _EDGE_RULE)
-    gx, gy = exact.gradient(pts_b[..., 0], pts_b[..., 1])
-    n = mesh.edge_normal[edges_b]
-    jump_b = jump_b - (
-        np.broadcast_to(np.asarray(gx, dtype=float), pts_b.shape[:2]) * n[:, None, 0]
-        + np.broadcast_to(np.asarray(gy, dtype=float), pts_b.shape[:2]) * n[:, None, 1]
-    )
-    jump_i = _normal_derivatives_at_edges(v, disc, (im, ip), lap)
-    edge = disc.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
-    return vol + edge
-
-
-def _error_mean_sq(v, exact, disc, sides, lap):
-    """Squared |e|-weighted error of the Laplacian means over all edges."""
-    mesh, cell_dofs = disc.mesh, disc.dofmap.cell_dofs
-    bnd, im, ip = sides
-    w = _EDGE_RULE.weights
-    total = 0.0
-    for group, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
-        edges = group[0][0]
-        mean_disc = np.zeros(len(edges))
-        for (_, tri_ids, _), mw in zip(group, weights):
-            mean_disc += mw * np.einsum("ei,ei->e", lap[tri_ids], v[cell_dofs[tri_ids]])
-        pts = edge_points(mesh, edges, _EDGE_RULE)
-        mean_ex = np.broadcast_to(
-            np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float),
-            pts.shape[:2],
-        )
-        diff = mean_disc[:, None] - mean_ex
-        total += float(mesh.edge_length[edges] ** 2 @ ((diff**2) @ w))
-    return total
+    mesh, w = disc.mesh, _EDGE_RULE.weights
+    jump_sq, mean_sq = [], 0.0 if means else None
+    for sides in edge_sides(mesh):
+        n, boundary = len(sides[0][0]), len(sides) == 1
+        jump_e = np.empty((n, len(w)))
+        mean_e = np.empty((n, len(w))) if means else None
+        for rows, tables in edge_chunks(disc, sides, lap, _EDGE_RULE):
+            edges = tables[0].edges
+            jump = np.einsum("eiq,ei->eq", tables[0].dn, v[tables[0].dofs])
+            for t in tables[1:]:
+                jump += np.einsum("eiq,ei->eq", t.dn, v[t.dofs])
+            if boundary or means:
+                pts = edge_points(mesh, edges, _EDGE_RULE)
+            if boundary:
+                gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
+                nrm = mesh.edge_normal[edges]
+                jump = jump - (
+                    np.broadcast_to(np.asarray(gx, dtype=float), pts.shape[:2]) * nrm[:, None, 0]
+                    + np.broadcast_to(np.asarray(gy, dtype=float), pts.shape[:2]) * nrm[:, None, 1]
+                )
+            np.square(jump, out=jump_e[rows])
+            if means:
+                mean_disc = np.zeros(len(edges))
+                for t in tables:
+                    mean_disc += (1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
+                mean_ex = np.broadcast_to(
+                    np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float),
+                    pts.shape[:2],
+                )
+                np.square(mean_disc[:, None] - mean_ex, out=mean_e[rows])
+        jump_sq.append(float(np.sum(jump_e @ w)))
+        if means:
+            mean_sq += float(mesh.edge_length[sides[0][0]] ** 2 @ (mean_e @ w))
+    return jump_sq[0] + jump_sq[1], mean_sq
 
 
 def _exact_errors(v, exact, disc, norms):
     """Errors of v_h against the exact fields, each squared piece computed once."""
     l2sq = hsq = meansq = None
-    if "l2" in norms or "energy" in norms:
+    want_l2 = "l2" in norms or "energy" in norms
+    want_h = any(n in norms for n in ("h", "energy", "qh"))
+    integrands, lap = [], disc.geom.laplacians()
+    if want_l2:
+        integrands.append(_value_error(v, exact.value, disc))
+    if want_h:
+        integrands.append(_laplacian_error(v, exact.laplacian, disc, lap))
+    vol = _volume_error_sq(disc, integrands)
+    if want_l2:
         # squaring is exact to undo: sqrt(x**2) == x in binary floating point
-        l2sq = error_l2(v, exact.value, disc) ** 2
-    if any(n in norms for n in ("h", "energy", "qh")):
-        sides, lap = edge_sides(disc.mesh), disc.geom.laplacians()
-        hsq = _error_h_sq(v, exact, disc, sides, lap)
-        if "qh" in norms:
-            meansq = _error_mean_sq(v, exact, disc, sides, lap)
+        l2sq = float(np.sqrt(vol.pop(0))) ** 2
+    if want_h:
+        jump_sq, meansq = _edge_error_sq(v, exact, disc, lap, "qh" in norms)
+        hsq = vol[0] + disc.sigma * jump_sq
     return combine_norms(norms, l2sq, hsq, meansq)
 
 

@@ -8,8 +8,11 @@ from c0ip.c0ip import (
     assemble_boundary_load,
     assemble_load,
     assemble_mass,
+    assemble_mean_norm_matrix,
+    assemble_penalty_matrix,
     edge_points,
     edge_side_data,
+    edge_sides,
     matrix_norms,
 )
 from c0ip.fem import P2, QuadratureRule, build_dofmap, interpolate
@@ -397,7 +400,10 @@ def _einsum_dn(disc, rule):
 def test_edge_tables_bit_identical_to_einsum(degree):
     rule = QuadratureRule.interval(degree)
     disc = Discretization(mesh_hierarchy(built_in_polygon("pentagon150"), 3)[3])
-    for group, dn in zip(edge_side_data(disc, rule), _einsum_dn(disc, rule)):
+    lap = disc.geom.laplacians()
+    tables = [t for sides in edge_sides(disc.mesh) for t in edge_side_data(disc, sides, lap, rule)]
+    assert len(tables) == 3
+    for group, dn in zip(tables, _einsum_dn(disc, rule)):
         # same strides too: matmuls over dn sum in an order that follows its layout
         assert group.dn.strides == dn.strides
         assert np.array_equal(group.dn, dn)
@@ -418,22 +424,153 @@ def _int64_assemble(disc, pieces):
     return a
 
 
+def _whole_table_matrices(disc):
+    """A, M, norm_h and norm_mean from whole-mesh blocks and whole edge tables,
+    each piece in turn in int64 COO: the reference for the chunked writer."""
+    w = QuadratureRule.interval(9).weights
+    geom, cell_dofs = disc.geom, disc.dofmap.cell_dofs
+    lap = geom.laplacians()
+    volume = (cell_dofs, cell_dofs, np.einsum("t,ti,tj->tij", geom.area, lap, lap))
+    rule = QuadratureRule.triangle(6)
+    vals = P2.values(rule.points)
+    mref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+    mass = (cell_dofs, cell_dofs, 2.0 * geom.area[:, None, None] * mref)
+    a_h, penalty, mean = [volume], [], []
+    for sides in edge_sides(disc.mesh):
+        tables = edge_side_data(disc, sides, lap)
+        mw = 1.0 / len(tables)
+        for a in tables:
+            for b in tables:
+                pen = disc.sigma * np.einsum("q,eiq,ejq->eij", w, a.dn, b.dn)
+                coup = float(disc.consistency_sign) * mw * a.length[:, None, None] * (
+                    np.einsum("ei,ej->eij", a.lap, b.dn @ w)
+                    + np.einsum("ei,ej->eij", a.dn @ w, b.lap)
+                )
+                a_h.append((a.dofs, b.dofs, pen + coup))
+                penalty.append((a.dofs, b.dofs, pen))
+                mean.append(
+                    (a.dofs, b.dofs, mw * mw * np.einsum("e,ei,ej->eij", a.length**2, a.lap, b.lap))
+                )
+    return {
+        "A": _int64_assemble(disc, a_h),
+        "M": _int64_assemble(disc, [mass]),
+        "norm_h": _int64_assemble(disc, [volume]) + _int64_assemble(disc, penalty),
+        "norm_mean": _int64_assemble(disc, mean),
+    }
+
+
+def _assert_same_csr(got, want, name):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, (name, part)
+        assert np.array_equal(a, b), (name, part)
+
+
 @pytest.mark.parametrize("domain", ["unit-square", "hexagon", "pentagon150", "right-triangle"])
 @pytest.mark.parametrize("sign", [-1, +1])
-def test_matrices_bit_identical_to_int64_assembly(domain, sign, monkeypatch):
-    import c0ip.c0ip as c0ip_mod
-
+def test_matrices_bit_identical_to_int64_assembly(domain, sign):
     names = ("A", "M", "norm_h", "norm_mean")
     mesh = mesh_hierarchy(built_in_polygon(domain), 3)[3]
     got = Discretization(mesh, sigma=7.0, consistency_sign=sign)
     got = {name: getattr(got, name) for name in names}
-    monkeypatch.setattr(c0ip_mod, "_assemble", _int64_assemble)
-    want = Discretization(mesh, sigma=7.0, consistency_sign=sign)
+    want = _whole_table_matrices(Discretization(mesh, sigma=7.0, consistency_sign=sign))
     for name in names:
-        for part in ("data", "indices", "indptr"):
-            a, b = getattr(got[name], part), getattr(getattr(want, name), part)
-            assert a.dtype == b.dtype, (name, part)
-            assert np.array_equal(a, b), (name, part)
+        _assert_same_csr(got[name], want[name], name)
+
+
+def _whole_mesh_loads(disc, f, g2):
+    """Both load vectors from whole-mesh quadrature arrays: the reference for the chunked ones."""
+    from c0ip.c0ip import boundary_values
+
+    geom, mesh = disc.geom, disc.mesh
+    tri, edge = QuadratureRule.triangle(6), QuadratureRule.interval(9)
+    pts = geom.to_physical(tri.points)
+    fv = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    contrib = 2.0 * geom.area[:, None] * np.einsum("q,tq,qb->tb", tri.weights, fv, P2.values(tri.points))
+    load = np.zeros(disc.dofmap.n_dofs)
+    np.add.at(load, disc.dofmap.cell_dofs, contrib)
+    edges = np.flatnonzero(mesh.is_boundary_edge)
+    pts = edge_points(mesh, edges, edge)
+    tri_ids = mesh.edge_t_minus[edges]
+    vals = P2.values(geom.to_reference(tri_ids[:, None], pts))
+    contrib = mesh.edge_length[edges][:, None] * np.einsum(
+        "q,eq,eqb->eb", edge.weights, boundary_values(g2, mesh, edges, pts), vals
+    )
+    boundary_load = np.zeros(disc.dofmap.n_dofs)
+    np.add.at(boundary_load, disc.dofmap.cell_dofs[tri_ids], contrib)
+    return load, boundary_load
+
+
+def _jittered_hexagon(seed):
+    from c0ip.mesh import Polygon
+
+    rng = np.random.default_rng(seed)
+    angles = np.arange(6) * np.pi / 3.0 + rng.uniform(-0.08, 0.08, 6)
+    radii = 1.0 + rng.uniform(-0.05, 0.05, 6)
+    return Polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
+
+
+@pytest.mark.parametrize(
+    "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
+)
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_chunked_assembly_bit_identical_to_whole_tables(domain, sign, monkeypatch):
+    """Built 7 rows at a time, with a partial last chunk, or in one chunk
+    above the edge count, every matrix and load vector is the whole-table one."""
+    import c0ip.c0ip as c0ip_mod
+
+    poly = _jittered_hexagon(0) if domain == "jittered-hexagon" else built_in_polygon(domain)
+    hierarchy = mesh_hierarchy(poly, 4)
+    f = lambda x, y: np.cos(3.0 * x) * np.sin(2.0 * y) + x * y
+    g2 = lambda x, y, nx, ny: np.sin(x) * nx + np.cos(y) * ny
+    for chunk in (7, 10**9):
+        monkeypatch.setattr(c0ip_mod, "_CHUNK", chunk)
+        for level in (1, 2, 3, 4):
+            disc = Discretization(hierarchy[level], sigma=7.0, consistency_sign=sign)
+            want = _whole_table_matrices(disc)
+            for name in ("A", "M", "norm_h", "norm_mean"):
+                _assert_same_csr(getattr(disc, name), want[name], (chunk, level, name))
+            for got, ref in zip(
+                (assemble_load(disc, f), assemble_boundary_load(disc, g2)),
+                _whole_mesh_loads(disc, f, g2),
+            ):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (chunk, level)
+
+
+def test_chunks_cover_rows_in_order_without_a_one_row_tail(monkeypatch):
+    import c0ip.c0ip as c0ip_mod
+
+    monkeypatch.setattr(c0ip_mod, "_CHUNK", 7)
+    assert c0ip_mod.chunks(0) == []
+    assert c0ip_mod.chunks(1) == [slice(0, 1)]
+    assert c0ip_mod.chunks(14) == [slice(0, 7), slice(7, 14)]
+    # a one-row product would go to gemv, which rounds unlike gemm
+    assert c0ip_mod.chunks(15) == [slice(0, 7), slice(7, 15)]
+    assert c0ip_mod.chunks(16) == [slice(0, 7), slice(7, 14), slice(14, 16)]
+
+
+def test_assemblers_build_edge_tables_one_chunk_at_a_time(monkeypatch):
+    """No edge table inside an assembler covers more than one chunk of edges."""
+    import c0ip.c0ip as c0ip_mod
+
+    gradients = P2.gradients
+    rows = []
+
+    def spy(points):
+        rows.append(points.shape[0])
+        return gradients(points)
+
+    monkeypatch.setattr(P2, "gradients", spy)
+    disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 5)[5])
+    mesh = disc.mesh
+    n_interior = mesh.n_edges - int(mesh.is_boundary_edge.sum())
+    assert n_interior > c0ip_mod._CHUNK
+    for assemble in (assemble_a_h, assemble_penalty_matrix, assemble_mean_norm_matrix):
+        rows.clear()
+        assemble(disc)
+        # every side of every edge, once
+        assert sum(rows) == mesh.n_edges + n_interior, assemble.__name__
+        assert max(rows) <= c0ip_mod._CHUNK, assemble.__name__
 
 
 def test_assembly_transient_bounded_by_result_size():

@@ -152,3 +152,37 @@ def test_to_reference_bit_identical_to_einsum(pentagon_geometry, rng=np.random.d
     got = geom.to_reference(cells, p)
     assert got.shape == (len(cells), 2)
     assert np.array_equal(got, _einsum_to_reference(geom, cells, p))
+
+
+def _broadcast_gradients(points):
+    """The reference for P2.gradients: each shape function broadcast over the length-2 axis."""
+    grad_lam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    lam = P2._bary(points)
+    out = np.empty(lam.shape[:-1] + (6, 2))
+    for i in range(3):
+        out[..., i, :] = (4.0 * lam[..., i, None] - 1.0) * grad_lam[i]
+    for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        out[..., 3 + k, :] = 4.0 * (lam[..., i, None] * grad_lam[j] + lam[..., j, None] * grad_lam[i])
+    return out
+
+
+def test_gradients_bit_identical_to_broadcast(rng=np.random.default_rng(13)):
+    # the nodes and the quarter points make 4 lam - 1 and the products exact
+    # zeros of either sign; bit patterns tell -0.0 from 0.0
+    quarters = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5)), -1)
+    for points in (
+        P2.nodes,
+        quarters.reshape(-1, 2),
+        rng.uniform(0.0, 1.0, size=(7, 10, 2)),
+        QuadratureRule.triangle(16).points,
+    ):
+        got, want = P2.gradients(points), _broadcast_gradients(points)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_to_physical_of_some_cells_is_their_rows(pentagon_geometry):
+    ref = QuadratureRule.triangle(16).points
+    whole = pentagon_geometry.to_physical(ref)
+    for cells in (slice(3, 17), np.array([5, 0, 9])):
+        assert np.array_equal(pentagon_geometry.to_physical(ref, cells), whole[cells])

@@ -320,3 +320,38 @@ def test_constrain_matches_hand_elimination():
     A_red, free = constrain(A, [0])
     assert np.allclose(A_red.toarray(), [[2.0, -1.0], [-1.0, 2.0]])
     assert np.array_equal(free, [1, 2])
+
+
+@pytest.mark.parametrize("system", ["vh", "pinned", "repeated", "all", "non-canonical"])
+def test_constrain_bit_identical_to_fancy_indexing(system):
+    """The one-mask reduction gives A[free][:, free] array for array, dtypes included."""
+    A, mesh, dm = _a_h("pentagon150", 3)
+    fixed = {
+        "vh": dm.boundary_dof_ids,
+        "pinned": [default_pin_corner(mesh)],
+        "repeated": [0, 5, 5, dm.n_dofs - 1],
+        "all": np.arange(dm.n_dofs),
+        "non-canonical": dm.boundary_dof_ids,
+    }[system]
+    if system == "non-canonical":
+        # every entry stored twice, as halves, in shuffled order within its row
+        rows = np.tile(np.repeat(np.arange(dm.n_dofs), np.diff(A.indptr)), 2)
+        order = np.lexsort((np.random.default_rng(3).random(len(rows)), rows))
+        A = sp.csr_matrix(
+            (np.tile(0.5 * A.data, 2)[order], np.tile(A.indices, 2)[order], 2 * A.indptr),
+            shape=A.shape,
+        )
+        assert not A.has_canonical_format
+    data, indices = A.data.copy(), A.indices.copy()
+    got, free = constrain(A, fixed)
+    canonical = A.copy()
+    canonical.sum_duplicates()
+    want_free = np.setdiff1d(np.arange(dm.n_dofs), fixed)
+    want = canonical[want_free][:, want_free]
+    assert np.array_equal(free, want_free) and free.dtype == want_free.dtype
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    # the caller's arrays are left as they were
+    assert np.array_equal(A.data, data) and np.array_equal(A.indices, indices)

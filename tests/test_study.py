@@ -242,18 +242,22 @@ def test_exact_error_path_matches_norm_matrices(domain, level, rng=np.random.def
 
 
 def _whole_table_errors(v, exact, disc, norms):
-    """The exact-error path on whole edge tables: the reference for the chunked one."""
-    from c0ip.c0ip import combine_norms, edge_points, edge_side_data
+    """The exact-error path on whole-mesh arrays and whole edge tables: the
+    reference for the chunked one."""
+    from c0ip.c0ip import combine_norms, edge_points, edge_side_data, edge_sides
     from c0ip.fem import P2, QuadratureRule
-    from c0ip.study import error_l2
 
     tri_rule, rule = QuadratureRule.triangle(16), QuadratureRule.interval(19)
     mesh, geom = disc.mesh, disc.geom
     w = rule.weights
-    bnd, im, ip = edge_side_data(disc, rule=rule)
+    lap = geom.laplacians()
+    (bnd,), (im, ip) = (edge_side_data(disc, sides, lap, rule) for sides in edge_sides(mesh))
 
     pts = geom.to_physical(tri_rule.points)
-    lap_disc = np.einsum("tb,tb->t", geom.laplacians(), v[disc.dofmap.cell_dofs])
+    vh = v[disc.dofmap.cell_dofs] @ P2.values(tri_rule.points).T
+    diff = vh - exact.value(pts[..., 0], pts[..., 1])
+    l2 = float(np.sqrt(2.0 * geom.area @ (diff**2 @ tri_rule.weights)))
+    lap_disc = np.einsum("tb,tb->t", lap, v[disc.dofmap.cell_dofs])
     diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
     vol = float(2.0 * geom.area @ (diff**2 @ tri_rule.weights))
     jump_b = np.einsum("eiq,ei->eq", bnd.dn, v[bnd.dofs])
@@ -281,7 +285,7 @@ def _whole_table_errors(v, exact, disc, norms):
         )
         diff = mean_disc[:, None] - mean_ex
         meansq += float(mesh.edge_length[edges] ** 2 @ ((diff**2) @ w))
-    return combine_norms(norms, error_l2(v, exact.value, disc) ** 2, hsq, meansq)
+    return combine_norms(norms, l2**2, hsq, meansq)
 
 
 def _jittered_hexagon(rng):
@@ -296,43 +300,57 @@ def _jittered_hexagon(rng):
     "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
 )
 def test_chunked_exact_errors_bit_identical_to_whole_tables(domain, monkeypatch):
-    """Built 7 edges at a time, with a partial last chunk in every group,
-    the exact-error path gives the whole-table values bit for bit."""
-    import c0ip.study
+    """Built 7 rows at a time, with a partial last chunk in every group, or
+    in one chunk above the edge count, the exact-error path gives the
+    whole-table values bit for bit, for every subset of norms it serves."""
+    import c0ip.c0ip
 
-    monkeypatch.setattr(c0ip.study, "_EDGE_CHUNK", 7)
     rng = np.random.default_rng(29)
     poly = _jittered_hexagon(rng) if domain == "jittered-hexagon" else built_in_polygon(domain)
     hierarchy = mesh_hierarchy(poly, 4)
-    for level in (1, 2, 4):
-        disc = Discretization(hierarchy[level])
-        v = rng.standard_normal(disc.dofmap.n_dofs)
-        for case in ("bubble", "cosine"):
-            exact = get_case(case).exact
-            assert _exact_errors(v, exact, disc, NORM_NAMES) == _whole_table_errors(
-                v, exact, disc, NORM_NAMES
-            ), (level, case)
+    for chunk in (7, 10**9):
+        monkeypatch.setattr(c0ip.c0ip, "_CHUNK", chunk)
+        for level in (1, 2, 3, 4):
+            disc = Discretization(hierarchy[level])
+            v = rng.standard_normal(disc.dofmap.n_dofs)
+            for case in ("bubble", "cosine"):
+                exact = get_case(case).exact
+                want = _whole_table_errors(v, exact, disc, NORM_NAMES)
+                assert _exact_errors(v, exact, disc, NORM_NAMES) == want, (chunk, level, case)
+                for norms in (("l2",), ("h",), ("l2", "energy")):
+                    got = _exact_errors(v, exact, disc, norms)
+                    assert got == {n: want[n] for n in norms}, (chunk, level, case, norms)
+                assert error_l2(v, exact.value, disc) == want["l2"]
 
 
 def test_exact_errors_build_edge_tables_one_chunk_at_a_time(monkeypatch):
-    """No edge table inside the exact-error path covers more than one chunk of edges."""
-    import c0ip.study
-    from c0ip.fem import P2
+    """No edge table or triangle quadrature array inside the exact-error path
+    covers more than one chunk of edges or triangles."""
+    import c0ip.c0ip
+    from c0ip.fem import P2, TriangleGeometry
 
-    gradients = P2.gradients
-    rows = []
+    gradients, to_physical = P2.gradients, TriangleGeometry.to_physical
+    edge_rows, cell_rows = [], []
 
-    def spy(points):
-        rows.append(points.shape[0])
+    def gradients_spy(points):
+        edge_rows.append(points.shape[0])
         return gradients(points)
 
-    monkeypatch.setattr(P2, "gradients", spy)
+    def to_physical_spy(self, ref_points, cells=slice(None)):
+        out = to_physical(self, ref_points, cells)
+        cell_rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(P2, "gradients", gradients_spy)
+    monkeypatch.setattr(TriangleGeometry, "to_physical", to_physical_spy)
     disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 5)[5])
     v = np.random.default_rng(31).standard_normal(disc.dofmap.n_dofs)
     _exact_errors(v, get_case("bubble").exact, disc, NORM_NAMES)
-    mesh = disc.mesh
+    mesh, chunk = disc.mesh, c0ip.c0ip._CHUNK
     n_interior = mesh.n_edges - int(mesh.is_boundary_edge.sum())
-    assert n_interior > c0ip.study._EDGE_CHUNK
-    # every side of every edge, once
-    assert sum(rows) == mesh.n_edges + n_interior
-    assert max(rows) <= c0ip.study._EDGE_CHUNK
+    assert n_interior > chunk and mesh.n_triangles > chunk
+    # every side of every edge, once; every triangle, once
+    assert sum(edge_rows) == mesh.n_edges + n_interior
+    assert max(edge_rows) <= chunk
+    assert sum(cell_rows) == mesh.n_triangles
+    assert max(cell_rows) <= chunk

@@ -15,15 +15,8 @@ from .c0ip import (
     assemble_mass,
     matrix_norms,
 )
-from .cahn_hilliard import ChProblem, ChSolution, solve_ch
-from .control import (
-    ControlProblem,
-    KktSolution,
-    forward_solve,
-    objective,
-    solve_kkt,
-    solve_kkt_monolithic,
-)
+from .cahn_hilliard import ChProblem, solve_ch
+from .control import ControlProblem, KktSolution, forward_solve, solve_kkt
 from .fem import DofMap, P2, QuadratureRule, build_dofmap, interpolate
 from .linalg import (
     PositiveDefiniteError,
@@ -46,7 +39,6 @@ from .study import ConvergenceReport, ManufacturedCase, eoc, run_study
 __all__ = [
     "__version__",
     "ChProblem",
-    "ChSolution",
     "ControlProblem",
     "ConvergenceReport",
     "Discretization",
@@ -74,11 +66,9 @@ __all__ = [
     "load_polygon",
     "matrix_norms",
     "mesh_hierarchy",
-    "objective",
     "refine_uniform",
     "run_study",
     "solve_ch",
     "solve_kkt",
-    "solve_kkt_monolithic",
     "triangulate_initial",
 ]

@@ -15,17 +15,15 @@ that dof fixed), which returns the full-length solution, zero at the corner.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .c0ip import assemble_boundary_load, assemble_load, boundary_values, edge_points
 from .fem import QuadratureRule
-from .linalg import SolveReport, cholesky_solve
+from .linalg import cholesky_solve
 
 __all__ = [
     "ChProblem",
-    "ChSolution",
     "CompatibilityError",
     "check_compatibility",
     "solve_ch",
@@ -114,18 +112,15 @@ class ChProblem:
             )
 
 
-@dataclass(frozen=True)
-class ChSolution:
-    psi_h: np.ndarray
-    report: SolveReport
-
-
 def solve_ch(problem):
-    """Solve the corner-pinned discrete problem by direct factorization."""
+    """Solve the corner-pinned discrete problem by direct factorization.
+
+    Returns ``(psi, report)`` as ``cholesky_solve`` does: the full-length
+    coefficient vector, zero at the pinned corner, and its solve report.
+    """
     disc = problem.disc
     A = disc.A
     b = assemble_load(disc, problem.g1)
     b -= assemble_boundary_load(disc, problem.g2)
     # vertex dofs come first, so the pinned dof id is the vertex id
-    psi, report = cholesky_solve(A, b, [problem.pinned_corner])
-    return ChSolution(psi_h=psi, report=report)
+    return cholesky_solve(A, b, [problem.pinned_corner])

@@ -10,19 +10,17 @@ definite operator on the control space,
 which is driven by preconditioned CG (preconditioner alpha A + M).  A and
 M are those of the problem's ``Discretization``.  The inner V_h solves use
 one factor of A with the boundary dofs fixed inside it; its solves take and
-return full-length vectors, zero on the boundary.  The assembled
-three-by-three block system is kept as an independent cross-check.
+return full-length vectors, zero on the boundary.  The discrete cost and
+the assembled three-by-three block system, an independent cross-check of
+the reduced path, live with the tests (``tests/kkt_reference.py``).
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .c0ip import assemble_load
-from .fem import QuadratureRule
 from .linalg import BandedCholesky, SolveReport, cg_solve
 
 __all__ = [
@@ -30,10 +28,8 @@ __all__ = [
     "KktSolution",
     "forward_solve",
     "solve_kkt",
-    "solve_kkt_monolithic",
-    "objective",
-    "objective_gradient",
     "reduced_hessian_apply",
+    "reduced_rhs",
     "kkt_residuals",
 ]
 
@@ -59,14 +55,6 @@ class ControlProblem:
         self.M = disc.M
         self.load_f = assemble_load(disc, f)
         self.load_ud = assemble_load(disc, u_d)
-        # the constant part of the tracking term; its degree-16 quadrature
-        # runs here, before any factor holds memory
-        rule = QuadratureRule.triangle(16)
-        pts = disc.geom.to_physical(rule.points)
-        vals = np.broadcast_to(
-            np.asarray(u_d(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-        )
-        self.ud_sq_integral = float(2.0 * disc.geom.area @ (vals**2 @ rule.weights))
 
     @cached_property
     def state_factor(self):
@@ -104,28 +92,14 @@ def reduced_hessian_apply(problem, q):
     return problem.alpha * a_q + problem.lift_transpose_apply(problem.M @ lift_q)
 
 
-def _reduced_rhs(problem):
+def reduced_rhs(problem):
+    """Right-hand side of the reduced system H q = reduced_rhs(problem).
+
+    The gradient of the reduced cost at q is
+    ``reduced_hessian_apply(problem, q) - reduced_rhs(problem)``.
+    """
     uf0 = forward_solve(problem, None)
     return -problem.lift_transpose_apply(problem.M @ uf0 - problem.load_ud)
-
-
-def _cost(problem, u, q):
-    track = float(u @ (problem.M @ u) - 2.0 * (u @ problem.load_ud)) + problem.ud_sq_integral
-    reg = float(q @ (problem.A @ q))
-    return 0.5 * track + 0.5 * problem.alpha * reg
-
-
-def objective(problem, p_h):
-    """Discrete cost: tracking misfit plus the alpha-weighted form energy."""
-    return _cost(problem, forward_solve(problem, p_h) + p_h, p_h)
-
-
-def objective_gradient(problem, p_h):
-    """Gradient of the discrete cost; equals the optimality-equation defect."""
-    u = forward_solve(problem, p_h) + p_h
-    return problem.alpha * (problem.A @ p_h) + problem.lift_transpose_apply(
-        problem.M @ u - problem.load_ud
-    )
 
 
 @dataclass(frozen=True)
@@ -134,7 +108,6 @@ class KktSolution:
     q_h: np.ndarray
     phi_h: np.ndarray
     u_h: np.ndarray
-    j_h: float
     residuals: dict
     report: SolveReport
 
@@ -162,30 +135,11 @@ def kkt_residuals(problem, u_f, q, phi):
     }
 
 
-def _solution(problem, u_f, q, phi, report):
-    u = u_f + q
-    return KktSolution(
-        u_f_h=u_f,
-        q_h=q,
-        phi_h=phi,
-        u_h=u,
-        j_h=_cost(problem, u, q),
-        residuals=kkt_residuals(problem, u_f, q, phi),
-        report=report,
-    )
-
-
-def _finish(problem, q, report):
-    u_f = forward_solve(problem, q)
-    phi = problem.state_factor.solve(problem.M @ (u_f + q) - problem.load_ud)
-    return _solution(problem, u_f, q, phi, report)
-
-
 def solve_kkt(problem):
     """Reduced-space solve of the discrete optimality system."""
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),
-        _reduced_rhs(problem),
+        reduced_rhs(problem),
         tol=1e-10,
         max_iter=2000,
         precond=problem.precond_factor.solve,
@@ -195,44 +149,14 @@ def solve_kkt(problem):
             f"reduced CG stagnated: {report.iterations} iterations, "
             f"relative residual {report.relative_residual:.3e}"
         )
-    return _finish(problem, q, report)
-
-
-def solve_kkt_monolithic(problem):
-    """Direct solve of the assembled three-by-three block system.
-
-    Kept as an independent cross-check of the reduced path; unknowns are
-    (state, control, adjoint) with the state/adjoint blocks restricted to
-    the boundary-vanishing dofs.  The block system is nonsymmetric and is
-    solved by sparse LU; the report holds its true relative residual
-    ||K s - rhs|| / ||rhs||.
-    """
-    free = problem.vh_free
-    A, M = problem.A, problem.M
-    alpha = problem.alpha
-    A_ff = A[free][:, free]
-    A_fq = A[free]
-    M_ff = M[free][:, free]
-    M_fq = M[free]
-
-    K = sp.bmat(
-        [
-            [A_ff, A_fq, None],
-            [-M_ff, -M_fq, A_ff],
-            [M_fq.T, alpha * A + M, -A_fq.T],
-        ],
-        format="csc",
+    u_f = forward_solve(problem, q)
+    u = u_f + q
+    phi = problem.state_factor.solve(problem.M @ u - problem.load_ud)
+    return KktSolution(
+        u_f_h=u_f,
+        q_h=q,
+        phi_h=phi,
+        u_h=u,
+        residuals=kkt_residuals(problem, u_f, q, phi),
+        report=report,
     )
-    rhs = np.concatenate(
-        [problem.load_f[free], -problem.load_ud[free], problem.load_ud]
-    )
-    sol = spla.spsolve(K, rhs)
-    nf = len(free)
-    n = problem.disc.dofmap.n_dofs
-    u_f = np.zeros(n)
-    u_f[free] = sol[:nf]
-    q = sol[nf : nf + n]
-    phi = np.zeros(n)
-    phi[free] = sol[nf + n :]
-    rel = float(np.linalg.norm(K @ sol - rhs)) / max(float(np.linalg.norm(rhs)), _TINY)
-    return _solution(problem, u_f, q, phi, SolveReport("lu", 0, rel, rel <= 1e-10))

@@ -115,7 +115,11 @@ class BandedCholesky:
         keep = rows <= cols
         rows, cols, vals = rows[keep], cols[keep], A.data[keep]
         del A, iperm, keep
-        bw = int((cols - rows).max()) if len(rows) else 0
+        # rows becomes the band row bw - (j - i) in place, so filling the
+        # band allocates no index temporaries
+        rows -= cols
+        bw = int(-rows.min()) if len(rows) else 0
+        rows += bw
         need, have = (bw + 1) * n * 8, _physical_memory_bytes()
         if need > have:
             raise MemoryError(
@@ -125,7 +129,7 @@ class BandedCholesky:
             )
         _release_freed_heap()
         ab = np.zeros((bw + 1, n), order="F")
-        ab[bw - (cols - rows), cols] = vals
+        ab[rows, cols] = vals
         del rows, cols, vals
         try:
             self._factor = sla.cholesky_banded(

@@ -36,7 +36,6 @@ __all__ = [
     "CASES",
     "get_case",
     "error_l2",
-    "error_h",
     "eoc",
     "ConvergenceReport",
     "run_study",
@@ -284,11 +283,6 @@ def _exact_errors(v, exact, disc, norms):
     return combine_norms(norms, l2sq, hsq, meansq)
 
 
-def error_h(v, exact, disc):
-    """Broken h-norm of v_h minus the exact field."""
-    return _exact_errors(v, exact, disc, ("h",))["h"]
-
-
 # ---------------------------------------------------------------------------
 # EOC and reports
 # ---------------------------------------------------------------------------
@@ -387,7 +381,8 @@ def _solve_case_on_mesh(case, mesh, sigma, alpha):
         return disc, x, 0
     if case.problem == "cahn-hilliard":
         prob = ch.ChProblem(disc, case.data["g1"], case.data["g2"])
-        return disc, ch.solve_ch(prob).psi_h, 0
+        psi, _ = ch.solve_ch(prob)
+        return disc, psi, 0
     if case.problem == "dirichlet-control":
         prob = ctl.ControlProblem(disc, case.data["f"], case.data["u_d"], alpha=alpha)
         sol = ctl.solve_kkt(prob)

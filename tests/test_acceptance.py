@@ -28,6 +28,7 @@ from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import run_study
 
+from kkt_reference import objective, solve_kkt_monolithic
 from oracle import oracle_a_h
 
 DOMAINS = ("unit-square", "right-triangle", "hexagon", "pentagon150")
@@ -128,7 +129,7 @@ def test_criterion_3_kkt_system():
     for lev in (1, 2, 3):
         prob = _smooth_problem(hier[lev])
         red = ctl.solve_kkt(prob)
-        mono = ctl.solve_kkt_monolithic(prob)
+        mono = solve_kkt_monolithic(prob)
         for a, b in ((red.q_h, mono.q_h), (red.u_h, mono.u_h), (red.phi_h, mono.phi_h)):
             agree = max(agree, np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
@@ -137,14 +138,12 @@ def test_criterion_3_kkt_system():
     prob = _smooth_problem(hier[2])
     n = prob.disc.dofmap.n_dofs
     p0 = 0.1 * rng.standard_normal(n)
-    g = ctl.objective_gradient(prob, p0)
+    g = ctl.reduced_hessian_apply(prob, p0) - ctl.reduced_rhs(prob)
     eps = 1e-5
     grad_err = 0.0
     for _ in range(10):
         d = rng.standard_normal(n)
-        fd = (ctl.objective(prob, p0 + eps * d) - ctl.objective(prob, p0 - eps * d)) / (
-            2 * eps
-        )
+        fd = (objective(prob, p0 + eps * d) - objective(prob, p0 - eps * d)) / (2 * eps)
         grad_err = max(grad_err, abs(float(g @ d) - fd) / max(abs(fd), 1e-300))
 
     # (d) reduced-Hessian symmetry

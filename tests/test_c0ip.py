@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c0ip.c0ip import (
     Discretization,
@@ -25,6 +27,7 @@ from c0ip.mesh import (
 )
 
 from oracle import oracle_a_h, oracle_consistency_defect, oracle_load, oracle_mass
+from test_mesh import convex_polygons
 
 PAPER_SIGN = dict(sigma=5.0, consistency_sign=+1)
 CONSISTENT5 = dict(sigma=5.0, consistency_sign=-1)
@@ -117,11 +120,21 @@ def test_assembly_matches_independent_oracle(domain, sign):
     assert np.max(np.abs(A - Ao)) < 1e-11 * scale
 
 
-def test_symmetry_on_refined_mesh():
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_symmetry_on_refined_mesh(sign):
     mesh = mesh_hierarchy(built_in_polygon("pentagon150"), 2)[2]
-    A = assemble_a_h(Discretization(mesh))
+    A = assemble_a_h(Discretization(mesh, consistency_sign=sign))
     d = A - A.T
-    assert np.max(np.abs(d.data)) if d.nnz else 0.0 <= 1e-12 * np.abs(A.data).max()
+    assert (np.max(np.abs(d.data)) if d.nnz else 0.0) <= 1e-12 * np.abs(A.data).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(convex_polygons(), st.integers(0, 2), st.sampled_from([+1, -1]))
+def test_symmetric_with_constants_in_kernel_on_random_convex_polygons(poly, level, sign):
+    A = assemble_a_h(Discretization(mesh_hierarchy(poly, level)[level], consistency_sign=sign))
+    scale = np.abs(A.data).max()
+    assert abs(A - A.T).max() <= 1e-12 * scale
+    assert np.abs(A @ np.ones(A.shape[0])).max() <= 1e-12 * scale
 
 
 def test_consistency_identity_default_sign(square2, rng=np.random.default_rng(11)):

@@ -121,38 +121,38 @@ def test_pin_must_be_corner(square_hierarchy):
 
 
 def test_zero_data_zero_solution(square_hierarchy):
-    sol = solve_ch(_problem(square_hierarchy[2], zero, zero))
-    assert np.all(sol.psi_h == 0.0)
+    psi, _ = solve_ch(_problem(square_hierarchy[2], zero, zero))
+    assert np.all(psi == 0.0)
 
 
 def test_pinned_value_exactly_zero(square_hierarchy):
-    sol = solve_ch(_problem(square_hierarchy[2], cos_source, zero))
-    assert sol.psi_h[0] == 0.0
-    assert sol.report.relative_residual <= 1e-10
+    psi, report = solve_ch(_problem(square_hierarchy[2], cos_source, zero))
+    assert psi[0] == 0.0
+    assert report.relative_residual <= 1e-10
 
 
 def test_residual_orthogonality(square_hierarchy):
     mesh = square_hierarchy[2]
     prob = _problem(mesh, cos_source, zero)
-    sol = solve_ch(prob)
+    psi, _ = solve_ch(prob)
     dm = prob.disc.dofmap
     A = assemble_a_h(prob.disc)
     b = assemble_load(prob.disc, cos_source)
-    res = A @ sol.psi_h - b
+    res = A @ psi - b
     free = np.setdiff1d(np.arange(dm.n_dofs), [prob.pinned_corner])
     assert np.linalg.norm(res[free]) <= 1e-10 * np.linalg.norm(b[free])
 
 
 def test_cosine_errors_decrease(square_hierarchy):
-    from c0ip.study import error_h, error_l2, get_case
+    from c0ip.study import _exact_errors, error_l2, get_case
 
     case = get_case("cosine")
     errs_h, errs_l2 = [], []
     for lev in (2, 3, 4):
         prob = _problem(square_hierarchy[lev], cos_source, zero)
-        sol = solve_ch(prob)
-        errs_h.append(error_h(sol.psi_h, case.exact, prob.disc))
-        errs_l2.append(error_l2(sol.psi_h, cos_exact, prob.disc))
+        psi, _ = solve_ch(prob)
+        errs_h.append(_exact_errors(psi, case.exact, prob.disc, ("h",))["h"])
+        errs_l2.append(error_l2(psi, cos_exact, prob.disc))
     assert errs_h[0] > errs_h[1] > errs_h[2]
     assert errs_l2[0] > errs_l2[1] > errs_l2[2]
     # rate-one behavior in the h-norm between the last two levels
@@ -163,13 +163,13 @@ def test_pin_choice_changes_little(square_hierarchy):
     """Pinning a different corner shifts the solution by roughly a constant;
     after mean adjustment the difference is at discretization-error scale."""
     mesh = square_hierarchy[3]
-    sol_a = solve_ch(_problem(mesh, cos_source, zero))
+    psi_a, _ = solve_ch(_problem(mesh, cos_source, zero))
     corner_b = int(mesh.corner_vertex_ids[2])
-    sol_b = solve_ch(_problem(mesh, cos_source, zero, pinned_corner=corner_b))
+    psi_b, _ = solve_ch(_problem(mesh, cos_source, zero, pinned_corner=corner_b))
 
     M = assemble_mass(Discretization(mesh))
     area = float(M.sum())
-    diff = sol_a.psi_h - sol_b.psi_h
+    diff = psi_a - psi_b
     mean = float((M @ diff).sum()) / area
     adjusted = diff - mean
     l2 = float(np.sqrt(adjusted @ (M @ adjusted)))
@@ -180,8 +180,8 @@ def test_pin_choice_changes_little(square_hierarchy):
 @pytest.mark.parametrize("domain", ["unit-square", "right-triangle", "hexagon", "pentagon150"])
 def test_pinned_system_definite_at_default_sigma(domain):
     mesh = mesh_hierarchy(built_in_polygon(domain), 3)[3]
-    sol = solve_ch(_problem(mesh, zero, zero))
-    assert np.all(sol.psi_h == 0.0)
+    psi, _ = solve_ch(_problem(mesh, zero, zero))
+    assert np.all(psi == 0.0)
 
 
 def test_solution_satisfies_oracle_equation(square_hierarchy):
@@ -196,12 +196,12 @@ def test_solution_satisfies_oracle_equation(square_hierarchy):
 
     mesh = square_hierarchy[1]
     prob = _problem(mesh, cos_source, zero)
-    sol = solve_ch(prob)
+    psi, _ = solve_ch(prob)
     dm = prob.disc.dofmap
     A = oracle_a_h(mesh, dm, prob.disc.sigma, prob.disc.consistency_sign)
     b = assemble_load(prob.disc, cos_source)
     free = np.setdiff1d(np.arange(dm.n_dofs), [prob.pinned_corner])
-    res = (A @ sol.psi_h - b)[free]
+    res = (A @ psi - b)[free]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(b[free])
     gap = b - oracle_load(mesh, dm, cos_source)
     assert np.linalg.norm(gap) <= 1e-3 * np.linalg.norm(b)

@@ -5,6 +5,8 @@ from c0ip import control as ctl
 from c0ip.c0ip import Discretization
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
+from kkt_reference import objective, solve_kkt_monolithic
+
 
 def zero(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
@@ -85,7 +87,7 @@ def test_zero_data_gives_exact_zero_triple(hierarchy):
     assert np.all(sol.u_f_h == 0.0)
     assert np.all(sol.q_h == 0.0)
     assert np.all(sol.phi_h == 0.0)
-    assert sol.j_h == 0.0
+    assert objective(prob, sol.q_h) == 0.0
 
 
 def test_constant_desired_state_sanity(hierarchy):
@@ -95,9 +97,25 @@ def test_constant_desired_state_sanity(hierarchy):
     n = prob.disc.dofmap.n_dofs
     # the constant control reproduces u_d exactly, so both costs sit at
     # cancellation roundoff; compare with a matching slack
-    assert sol.j_h <= ctl.objective(prob, np.zeros(n)) + 1e-9
-    assert sol.j_h <= ctl.objective(prob, np.full(n, 0.8)) + 1e-9
-    assert abs(sol.j_h) < 1e-9
+    j_h = objective(prob, sol.q_h)
+    assert j_h <= objective(prob, np.zeros(n)) + 1e-9
+    assert j_h <= objective(prob, np.full(n, 0.8)) + 1e-9
+    assert abs(j_h) < 1e-9
+
+
+def test_desired_state_evaluated_only_at_load_points(hierarchy):
+    # u_d enters the solve through its degree-6 load vector alone: 12 points
+    # per triangle, each triangle once
+    shapes = []
+
+    def spy(x, y):
+        shapes.append(np.shape(x))
+        return u_desired(x, y)
+
+    mesh = hierarchy[2]
+    ctl.solve_kkt(_problem(mesh, one, spy, alpha=0.1))
+    assert {s[1:] for s in shapes} == {(12,)}
+    assert sum(s[0] for s in shapes) == mesh.n_triangles
 
 
 def test_kkt_residuals_small(problem2):
@@ -109,7 +127,7 @@ def test_kkt_residuals_small(problem2):
 def test_reduced_matches_monolithic(hierarchy, level):
     prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
     red = ctl.solve_kkt(prob)
-    mono = ctl.solve_kkt_monolithic(prob)
+    mono = solve_kkt_monolithic(prob)
     for a, b in ((red.q_h, mono.q_h), (red.u_h, mono.u_h), (red.phi_h, mono.phi_h)):
         assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(b), 1e-300)
 
@@ -119,7 +137,7 @@ def test_monolithic_reports_true_block_residual(hierarchy, level):
     # the block rows rebuilt from the solution's fields: state and adjoint
     # equations on V_h, the gradient equation on Q_h
     prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
-    sol = ctl.solve_kkt_monolithic(prob)
+    sol = solve_kkt_monolithic(prob)
     A, M, f, d, free = prob.A, prob.M, prob.load_f, prob.load_ud, prob.vh_free
     r = np.concatenate([
         (A @ sol.u_f_h + A @ sol.q_h - f)[free],
@@ -138,9 +156,9 @@ def test_monolithic_reports_true_block_residual(hierarchy, level):
 def test_objective_trivial_values(hierarchy):
     prob = _problem(hierarchy[1], zero, zero, alpha=1.0)
     n = prob.disc.dofmap.n_dofs
-    assert ctl.objective(prob, np.zeros(n)) == pytest.approx(0.0, abs=1e-15)
+    assert objective(prob, np.zeros(n)) == pytest.approx(0.0, abs=1e-15)
     c = 1.3
-    assert ctl.objective(prob, np.full(n, c)) == pytest.approx(0.5 * c * c, rel=1e-10)
+    assert objective(prob, np.full(n, c)) == pytest.approx(0.5 * c * c, rel=1e-10)
 
 
 def test_objective_gradient_matches_finite_differences(
@@ -148,12 +166,12 @@ def test_objective_gradient_matches_finite_differences(
 ):
     n = problem2.disc.dofmap.n_dofs
     p0 = 0.1 * rng.standard_normal(n)
-    g = ctl.objective_gradient(problem2, p0)
+    g = ctl.reduced_hessian_apply(problem2, p0) - ctl.reduced_rhs(problem2)
     eps = 1e-5
     for _ in range(10):
         d = rng.standard_normal(n)
         fd = (
-            ctl.objective(problem2, p0 + eps * d) - ctl.objective(problem2, p0 - eps * d)
+            objective(problem2, p0 + eps * d) - objective(problem2, p0 - eps * d)
         ) / (2 * eps)
         assert abs(float(g @ d) - fd) <= 1e-6 * max(abs(fd), 1e-10)
 
@@ -186,10 +204,11 @@ def test_reduced_hessian_positivity(problem2, rng=np.random.default_rng(10)):
 
 def test_solution_is_a_minimizer(problem2, rng=np.random.default_rng(12)):
     sol = ctl.solve_kkt(problem2)
+    j_h = objective(problem2, sol.q_h)
     for t in (1e-2, -1e-2, 1e-3, -1e-3):
         for _ in range(5):
             d = rng.standard_normal(problem2.disc.dofmap.n_dofs)
-            assert sol.j_h <= ctl.objective(problem2, sol.q_h + t * d) + 1e-12
+            assert j_h <= objective(problem2, sol.q_h + t * d) + 1e-12
 
 
 def test_kkt_solution_satisfies_oracle_equations(hierarchy):

@@ -154,7 +154,8 @@ def test_banded_factor_holds_one_band_buffer():
         tracemalloc.stop()
     assert (F.n, F.bandwidth) == (8001, 319)
     band_bytes = (F.bandwidth + 1) * F.n * 8
-    assert peak < 1.25 * band_bytes, f"peak {peak / band_bytes:.2f} band sizes"
+    # 1.093 band sizes; filling the band through index temporaries read 1.126
+    assert peak < 1.11 * band_bytes, f"peak {peak / band_bytes:.3f} band sizes"
 
 
 _HEAP_RELEASE = """

@@ -8,7 +8,6 @@ from c0ip.study import (
     ExactField,
     _exact_errors,
     eoc,
-    error_h,
     error_l2,
     get_case,
     restrict_to_level,
@@ -76,7 +75,7 @@ def test_error_h_trivial():
         laplacian=lambda x, y: 2.0 * np.ones_like(x),
     )
     coeffs = interpolate(dm, exact.value)
-    assert error_h(coeffs, exact, disc) <= 1e-11
+    assert _exact_errors(coeffs, exact, disc, ("h",))["h"] <= 1e-11
 
     # v = 0 against an exact field with constant Laplacian c and zero
     # boundary normal derivative: the element part alone gives |c| sqrt(area)
@@ -87,7 +86,7 @@ def test_error_h_trivial():
         laplacian=lambda x, y: chat * np.ones_like(x),
     )
     zero = np.zeros(dm.n_dofs)
-    assert error_h(zero, exact2, disc) == pytest.approx(chat, rel=1e-12)
+    assert _exact_errors(zero, exact2, disc, ("h",))["h"] == pytest.approx(chat, rel=1e-12)
 
 
 def test_interpolation_eoc_calibration():
@@ -100,7 +99,7 @@ def test_interpolation_eoc_calibration():
         disc = Discretization(mesh)
         coeffs = interpolate(disc.dofmap, case.exact.value)
         el2.append(error_l2(coeffs, case.exact.value, disc))
-        eh.append(error_h(coeffs, case.exact, disc))
+        eh.append(_exact_errors(coeffs, case.exact, disc, ("h",))["h"])
         hs.append(mesh.h_max)
     rates_l2 = eoc(el2, hs)
     rates_h = eoc(eh, hs)

@@ -18,7 +18,13 @@ import warnings
 
 import numpy as np
 
-from .c0ip import assemble_boundary_load, assemble_load, boundary_values, edge_points
+from .c0ip import (
+    _field_values,
+    assemble_boundary_load,
+    assemble_load,
+    boundary_values,
+    edge_points,
+)
 from .fem import QuadratureRule
 from .linalg import cholesky_solve
 
@@ -50,8 +56,6 @@ def default_pin_corner(mesh):
 
 def _boundary_integral(mesh, g2, rule):
     edges = np.flatnonzero(mesh.is_boundary_edge)
-    if len(edges) == 0:
-        return 0.0, 0.0
     gv = boundary_values(g2, mesh, edges, edge_points(mesh, edges, rule))
     line = mesh.edge_length[edges] @ (gv @ rule.weights)
     l2sq = mesh.edge_length[edges] @ (gv**2 @ rule.weights)
@@ -60,9 +64,7 @@ def _boundary_integral(mesh, g2, rule):
 
 def _volume_integral(geom, g1, rule):
     pts = geom.to_physical(rule.points)
-    gv = np.broadcast_to(
-        np.asarray(g1(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-    )
+    gv = _field_values(g1, pts[..., 0], pts[..., 1])
     vol = float(2.0 * geom.area @ (gv @ rule.weights))
     l2sq = float(2.0 * geom.area @ (gv**2 @ rule.weights))
     return vol, float(np.sqrt(max(l2sq, 0.0)))

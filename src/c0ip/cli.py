@@ -158,6 +158,9 @@ def parse_config(text):
             raise ConfigError(
                 f"line {linenos['norms']}: norms must be a subset of {{{', '.join(NORM_NAMES)}}}"
             )
+        repeated = sorted({n for n in norms if norms.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"line {linenos['norms']}: repeated norm {', '.join(repeated)}")
 
     reference_level = None
     if "reference-level" in values:

@@ -5,10 +5,12 @@ full P2 space.  The optimality system is solved in reduced form: eliminating
 state and adjoint through direct inner solves leaves a symmetric positive
 definite operator on the control space,
 
-    H q = alpha A q + T' M T q,        T q = lift_apply(q),
+    H q = alpha A q + T' M T q,
 
-which is driven by preconditioned CG (preconditioner alpha A + M).  A and
-M are those of the problem's ``Discretization``.  The inner V_h solves use
+where the lift T q = q + w adds to q the w in V_h with a(w, v) = -a(q, v)
+for all v in V_h: T q has q's boundary values and is a-orthogonal to V_h.
+H is driven by preconditioned CG (preconditioner alpha A + M).  A and M
+are those of the problem's ``Discretization``.  The inner V_h solves use
 one factor of A with the boundary dofs fixed inside it; its solves take and
 return full-length vectors, zero on the boundary.  The discrete cost and
 the assembled three-by-three block system, an independent cross-check of
@@ -48,9 +50,6 @@ class ControlProblem:
         self.f = f
         self.u_d = u_d
         self.alpha = float(alpha)
-        dofmap = disc.dofmap
-        # V_h is Q_h minus the boundary dofs
-        self.vh_free = np.setdiff1d(np.arange(dofmap.n_dofs), dofmap.boundary_dof_ids)
         self.A = disc.A
         self.M = disc.M
         self.load_f = assemble_load(disc, f)
@@ -68,10 +67,6 @@ class ControlProblem:
 
     # -- V_h solves ---------------------------------------------------------
 
-    def lift_apply(self, q):
-        """T q = w + q with a(w, v) = -a(q, v) for all v in V_h."""
-        return q + self.state_factor.solve(-(self.A @ q))
-
     def lift_transpose_apply(self, y):
         """T' y = y - A w with w the V_h solve of y's restriction."""
         return y - self.A @ self.state_factor.solve(y)
@@ -88,7 +83,7 @@ def forward_solve(problem, p_h=None):
 def reduced_hessian_apply(problem, q):
     """Action of the reduced operator alpha A + T' M T."""
     a_q = problem.A @ q
-    lift_q = q + problem.state_factor.solve(-a_q)  # lift_apply(q), reusing A q
+    lift_q = q + problem.state_factor.solve(-a_q)  # T q
     return problem.alpha * a_q + problem.lift_transpose_apply(problem.M @ lift_q)
 
 
@@ -114,7 +109,7 @@ class KktSolution:
 
 def kkt_residuals(problem, u_f, q, phi):
     """Relative defects of the three optimality equations."""
-    free = problem.vh_free
+    free = problem.state_factor.free  # the dofs of V_h
     A, M = problem.A, problem.M
     u = u_f + q
 

@@ -18,8 +18,6 @@ __all__ = [
     "TriangleGeometry",
     "DofMap",
     "build_dofmap",
-    "interpolate",
-    "evaluate",
 ]
 
 # barycentric gradients on the reference triangle (0,0)-(1,0)-(0,1)
@@ -188,7 +186,6 @@ class DofMap:
     """Global P2 dof numbering for Q_h; V_h fixes the boundary dofs."""
 
     n_dofs: int
-    nodes: np.ndarray          # (n_dofs, 2) dof coordinates
     cell_dofs: np.ndarray      # (nt, 6) local-to-global
     boundary_dof_ids: np.ndarray
 
@@ -199,40 +196,12 @@ def build_dofmap(mesh):
     cell_dofs = np.empty((mesh.n_triangles, 6), dtype=np.int64)
     cell_dofs[:, :3] = mesh.triangles
     cell_dofs[:, 3:] = nv + mesh.cell_edges
-    nodes = np.vstack([mesh.vertices, mesh.edge_midpoint])
-
-    bnd = np.concatenate(
-        [
-            np.flatnonzero(mesh.boundary_vertex_flags),
-            nv + np.flatnonzero(mesh.is_boundary_edge),
-        ]
-    )
+    boundary = mesh.is_boundary_edge
     return DofMap(
         n_dofs=nv + mesh.n_edges,
-        nodes=nodes,
         cell_dofs=cell_dofs,
-        boundary_dof_ids=np.sort(bnd),
+        # sorted: every vertex dof comes before every edge dof
+        boundary_dof_ids=np.concatenate(
+            [np.unique(mesh.edge_vertices[boundary]), nv + np.flatnonzero(boundary)]
+        ),
     )
-
-
-def interpolate(dofmap, function):
-    """Nodal interpolation: coefficients are point values at the dof nodes."""
-    coeffs = np.asarray(function(dofmap.nodes[:, 0], dofmap.nodes[:, 1]), dtype=float)
-    return np.broadcast_to(coeffs, (dofmap.n_dofs,)).copy()
-
-
-def evaluate(disc, coeffs, points):
-    """Point evaluation of a finite element function on ``disc``'s mesh (brute-force location)."""
-    geom = disc.geom
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        ref = geom.to_reference(np.arange(disc.mesh.n_triangles), p[None, :])
-        lam0 = 1.0 - ref[:, 0] - ref[:, 1]
-        inside = (ref[:, 0] >= -1e-12) & (ref[:, 1] >= -1e-12) & (lam0 >= -1e-12)
-        hits = np.flatnonzero(inside)
-        if len(hits) == 0:
-            raise ValueError(f"point {p} lies outside the mesh")
-        t = int(hits[0])
-        out[k] = P2.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[disc.dofmap.cell_dofs[t]]
-    return out if out.size > 1 else float(out[0])

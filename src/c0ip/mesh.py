@@ -60,11 +60,6 @@ class Polygon:
         w = np.roll(v, -1, axis=0)
         return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
-    @property
-    def perimeter(self):
-        v = self.vertices
-        return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
-
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -87,7 +82,6 @@ class Triangulation:
     edge_length: np.ndarray
     edge_midpoint: np.ndarray
     cell_edges: np.ndarray      # (nt, 3), edge opposite local vertex
-    boundary_vertex_flags: np.ndarray
     corner_vertex_ids: np.ndarray
 
     @property
@@ -113,12 +107,6 @@ class Triangulation:
 
     def triangle_areas(self):
         return 0.5 * _signed_areas2(self.vertices, self.triangles)
-
-    def __str__(self):
-        return (
-            f"Triangulation(level={self.level}, {self.n_vertices} vertices, "
-            f"{self.n_triangles} triangles, {self.n_edges} edges)"
-        )
 
 
 BUILT_IN_DOMAINS = {
@@ -179,8 +167,7 @@ def triangulate_initial(polygon):
 def build_edges(polygon, vertices, triangles, level):
     """The complete triangulation of ``polygon`` with the given vertices and triangles.
 
-    Derives the edge topology: adjacency, oriented normals, boundary
-    vertices and corners.  Edges are ordered by their sorted vertex-index
+    Derives the edge topology: adjacency, oriented normals and corners.  Edges are ordered by their sorted vertex-index
     pair; for interior edges the adjacent triangle with the smaller index is
     T- and the normal points from T- into T+; boundary normals point out of
     the polygon.  The polygon corners must be the first mesh vertices, and
@@ -226,10 +213,6 @@ def build_edges(polygon, vertices, triangles, level):
     flip = np.einsum("ij,ij->i", normal, ref) < 0.0
     normal[flip] *= -1.0
 
-    boundary_flags = np.zeros(len(vertices), dtype=bool)
-    bedges = edge_vertices[~interior]
-    boundary_flags[bedges.ravel()] = True
-
     corners = polygon.vertices
     if not np.array_equal(vertices[: len(corners)], corners):
         raise MeshError("polygon corners must be the first mesh vertices")
@@ -251,7 +234,6 @@ def build_edges(polygon, vertices, triangles, level):
         edge_length=length,
         edge_midpoint=midpoint,
         cell_edges=cell_edges,
-        boundary_vertex_flags=boundary_flags,
         corner_vertex_ids=np.arange(len(corners), dtype=np.int64),
     )
 

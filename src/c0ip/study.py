@@ -18,6 +18,7 @@ from . import control as ctl
 from .c0ip import (
     NORM_NAMES,
     Discretization,
+    _field_values,
     assemble_load,
     chunks,
     combine_norms,
@@ -35,7 +36,6 @@ __all__ = [
     "ManufacturedCase",
     "CASES",
     "get_case",
-    "error_l2",
     "eoc",
     "ConvergenceReport",
     "run_study",
@@ -213,11 +213,6 @@ def _laplacian_error(v, exact_laplacian, disc, lap):
     return lambda cells, x, y: exact_laplacian(x, y) - lap_disc[cells, None]
 
 
-def error_l2(v, exact_value, disc):
-    """L2 norm of v_h minus the exact field, by triangle quadrature."""
-    return float(np.sqrt(_volume_error_sq(disc, [_value_error(v, exact_value, disc)])[0]))
-
-
 def _edge_error_sq(v, exact, disc, lap, means):
     """Edge parts of the squared h-norm and Q_h-norm errors.
 
@@ -252,10 +247,7 @@ def _edge_error_sq(v, exact, disc, lap, means):
                 mean_disc = np.zeros(len(edges))
                 for t in tables:
                     mean_disc += (1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
-                mean_ex = np.broadcast_to(
-                    np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float),
-                    pts.shape[:2],
-                )
+                mean_ex = _field_values(exact.laplacian, pts[..., 0], pts[..., 1])
                 np.square(mean_disc[:, None] - mean_ex, out=mean_e[rows])
         jump_sq.append(float(np.sum(jump_e @ w)))
         if means:
@@ -419,6 +411,8 @@ def run_study(
     levels = sorted(int(l) for l in levels)
     if len(levels) < 1 or levels[0] < 1:
         raise ValueError("levels must be a nonempty list of integers >= 1")
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"levels must not repeat, got {levels}")
     domain = domain or "unit-square"
     if case.domains is not None and domain not in case.domains:
         raise ValueError(
@@ -439,6 +433,8 @@ def run_study(
     for n in norms:
         if n not in NORM_NAMES:
             raise ValueError(f"unknown norm {n!r} (choose from {NORM_NAMES})")
+    if len(set(norms)) < len(norms):
+        raise ValueError(f"norms must not repeat, got {norms}")
 
     polygon = built_in_polygon(domain) if isinstance(domain, str) else domain
     max_level = reference_level if needs_reference else levels[-1]

@@ -17,6 +17,12 @@ from c0ip.fem import QuadratureRule
 from c0ip.linalg import SolveReport
 
 
+def vh_free(problem):
+    """The dofs of V_h: every dof off the boundary."""
+    dofmap = problem.disc.dofmap
+    return np.setdiff1d(np.arange(dofmap.n_dofs), dofmap.boundary_dof_ids)
+
+
 def tracking_constant(problem):
     """int u_d^2 dx by degree-16 quadrature: the constant part of the tracking term."""
     disc = problem.disc
@@ -46,7 +52,7 @@ def solve_kkt_monolithic(problem):
     nonsymmetric and is solved by sparse LU; the report holds its true
     relative residual ||K s - rhs|| / ||rhs||.
     """
-    free = problem.vh_free
+    free = vh_free(problem)
     A, M = problem.A, problem.M
     alpha = problem.alpha
     A_ff = A[free][:, free]

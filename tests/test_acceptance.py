@@ -28,6 +28,7 @@ from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import run_study
 
+from helpers import dof_nodes
 from kkt_reference import objective, solve_kkt_monolithic
 from oracle import oracle_a_h
 
@@ -279,7 +280,7 @@ def test_criterion_6_hand_computed_values():
     paper = Discretization(mesh, sigma=5.0, consistency_sign=+1)
     consistent = Discretization(mesh, sigma=5.0, consistency_sign=-1)
     dm = paper.dofmap
-    p = dm.nodes[:, 0] ** 2
+    p = dof_nodes(mesh)[:, 0] ** 2
 
     # oracle first: independent per-edge quadrature of the printed form
     A_oracle = oracle_a_h(mesh, dm, 5.0, +1)

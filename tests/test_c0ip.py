@@ -17,7 +17,7 @@ from c0ip.c0ip import (
     edge_sides,
     matrix_norms,
 )
-from c0ip.fem import P2, QuadratureRule, build_dofmap, interpolate
+from c0ip.fem import P2, QuadratureRule, build_dofmap
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import (
     built_in_polygon,
@@ -26,6 +26,7 @@ from c0ip.mesh import (
     triangulate_initial,
 )
 
+from helpers import dof_nodes, interpolate, jittered_hexagon
 from oracle import oracle_a_h, oracle_consistency_defect, oracle_load, oracle_mass
 from test_mesh import convex_polygons
 
@@ -43,8 +44,8 @@ def square2():
     return mesh_hierarchy(built_in_polygon("unit-square"), 2)[2]
 
 
-def x_squared(dofmap):
-    return dofmap.nodes[:, 0] ** 2
+def x_squared(mesh):
+    return dof_nodes(mesh)[:, 0] ** 2
 
 
 # -- hand values on the two-triangle square (independent oracle first, then
@@ -54,7 +55,7 @@ def x_squared(dofmap):
 
 def test_a_h_hand_value_positive_coupling(square0):
     disc = Discretization(square0, **PAPER_SIGN)
-    p = x_squared(disc.dofmap)
+    p = x_squared(square0)
     A = assemble_a_h(disc)
     value = float(p @ (A @ p))
     oracle = oracle_a_h(square0, disc.dofmap, 5.0, +1)
@@ -64,7 +65,7 @@ def test_a_h_hand_value_positive_coupling(square0):
 
 def test_a_h_hand_value_consistent_coupling(square0):
     disc = Discretization(square0, **CONSISTENT5)
-    p = x_squared(disc.dofmap)
+    p = x_squared(square0)
     A = assemble_a_h(disc)
     value = float(p @ (A @ p))
     oracle = oracle_a_h(square0, disc.dofmap, 5.0, -1)
@@ -74,7 +75,7 @@ def test_a_h_hand_value_consistent_coupling(square0):
 
 def test_norms_hand_values(square0):
     disc = Discretization(square0, **CONSISTENT5)
-    p = x_squared(disc.dofmap)
+    p = x_squared(square0)
     norms = matrix_norms(p, disc, ("h", "energy", "qh"))
     assert norms["h"] ** 2 == pytest.approx(24.0, abs=1e-12)
     # energy adds the L2 part: integral of x^4 over the square is 1/5
@@ -97,7 +98,7 @@ def test_norm_of_constant_is_zero(square2):
 def test_global_linear_sees_boundary_penalty(square0):
     for params in (PAPER_SIGN, CONSISTENT5):
         disc = Discretization(square0, **params)
-        p = interpolate(disc.dofmap, lambda x, y: x + 2 * y)
+        p = interpolate(square0, lambda x, y: x + 2 * y)
         A = assemble_a_h(disc)
         assert float(p @ (A @ p)) > 1.0
 
@@ -514,15 +515,6 @@ def _whole_mesh_loads(disc, f, g2):
     return load, boundary_load
 
 
-def _jittered_hexagon(seed):
-    from c0ip.mesh import Polygon
-
-    rng = np.random.default_rng(seed)
-    angles = np.arange(6) * np.pi / 3.0 + rng.uniform(-0.08, 0.08, 6)
-    radii = 1.0 + rng.uniform(-0.05, 0.05, 6)
-    return Polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
-
-
 @pytest.mark.parametrize(
     "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
 )
@@ -532,7 +524,11 @@ def test_chunked_assembly_bit_identical_to_whole_tables(domain, sign, monkeypatc
     above the edge count, every matrix and load vector is the whole-table one."""
     import c0ip.c0ip as c0ip_mod
 
-    poly = _jittered_hexagon(0) if domain == "jittered-hexagon" else built_in_polygon(domain)
+    poly = (
+        jittered_hexagon(np.random.default_rng(0))
+        if domain == "jittered-hexagon"
+        else built_in_polygon(domain)
+    )
     hierarchy = mesh_hierarchy(poly, 4)
     f = lambda x, y: np.cos(3.0 * x) * np.sin(2.0 * y) + x * y
     g2 = lambda x, y, nx, ny: np.sin(x) * nx + np.cos(y) * ny

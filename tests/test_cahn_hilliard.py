@@ -11,6 +11,7 @@ from c0ip.cahn_hilliard import (
 )
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
+from helpers import l2_error
 from oracle import oracle_integral
 
 PI = np.pi
@@ -144,7 +145,7 @@ def test_residual_orthogonality(square_hierarchy):
 
 
 def test_cosine_errors_decrease(square_hierarchy):
-    from c0ip.study import _exact_errors, error_l2, get_case
+    from c0ip.study import _exact_errors, get_case
 
     case = get_case("cosine")
     errs_h, errs_l2 = [], []
@@ -152,7 +153,7 @@ def test_cosine_errors_decrease(square_hierarchy):
         prob = _problem(square_hierarchy[lev], cos_source, zero)
         psi, _ = solve_ch(prob)
         errs_h.append(_exact_errors(psi, case.exact, prob.disc, ("h",))["h"])
-        errs_l2.append(error_l2(psi, cos_exact, prob.disc))
+        errs_l2.append(l2_error(psi, cos_exact, prob.disc))
     assert errs_h[0] > errs_h[1] > errs_h[2]
     assert errs_l2[0] > errs_l2[1] > errs_l2[2]
     # rate-one behavior in the h-norm between the last two levels

@@ -74,6 +74,12 @@ def test_parse_rejects_bad_alpha_and_norms():
         parse_config("problem = clamped-plate\nlevels = 1..2\nnorms = l2,h3\n")
 
 
+def test_parse_rejects_repeated_norm():
+    # a CSV with two err_l2 columns loses one to any reader keyed by header
+    with pytest.raises(ConfigError, match="line 3: repeated norm l2"):
+        parse_config("problem = clamped-plate\nlevels = 1..2\nnorms = l2, l2, h\n")
+
+
 def test_parse_every_key():
     text = (
         "problem = dirichlet-control\n"

@@ -5,7 +5,7 @@ from c0ip import control as ctl
 from c0ip.c0ip import Discretization
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
-from kkt_reference import objective, solve_kkt_monolithic
+from kkt_reference import objective, solve_kkt_monolithic, vh_free
 
 
 def zero(x, y):
@@ -22,6 +22,11 @@ def u_desired(x, y):
 
 def _problem(mesh, f, u_d, alpha):
     return ctl.ControlProblem(Discretization(mesh), f, u_d, alpha=alpha)
+
+
+def _lift(problem, q):
+    """T q = q + w with a(w, v) = -a(q, v) for all v in V_h."""
+    return q + problem.state_factor.solve(-(problem.A @ q))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +64,7 @@ def test_forward_constant_control_equals_plain_solve(problem2):
 
 def test_lift_of_constant_is_constant(problem2):
     n = problem2.disc.dofmap.n_dofs
-    out = problem2.lift_apply(np.full(n, 3.0))
+    out = _lift(problem2, np.full(n, 3.0))
     assert np.allclose(out, 3.0, atol=1e-9)
 
 
@@ -68,14 +73,14 @@ def test_lift_of_vh_function_is_zero(problem2, rng=np.random.default_rng(4)):
     p = np.zeros(dm.n_dofs)
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
     p[interior] = rng.standard_normal(len(interior))
-    out = problem2.lift_apply(p)
+    out = _lift(problem2, p)
     assert np.max(np.abs(out)) <= 1e-9 * max(np.max(np.abs(p)), 1.0)
 
 
 def test_lift_residual_orthogonality(problem2, rng=np.random.default_rng(6)):
     dm = problem2.disc.dofmap
     p = rng.standard_normal(dm.n_dofs)
-    out = problem2.lift_apply(p)
+    out = _lift(problem2, p)
     res = (problem2.A @ out)
     interior = np.setdiff1d(np.arange(dm.n_dofs), dm.boundary_dof_ids)
     assert np.linalg.norm(res[interior]) <= 1e-9 * np.linalg.norm(problem2.A @ p)
@@ -138,7 +143,7 @@ def test_monolithic_reports_true_block_residual(hierarchy, level):
     # equations on V_h, the gradient equation on Q_h
     prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
     sol = solve_kkt_monolithic(prob)
-    A, M, f, d, free = prob.A, prob.M, prob.load_f, prob.load_ud, prob.vh_free
+    A, M, f, d, free = prob.A, prob.M, prob.load_f, prob.load_ud, vh_free(prob)
     r = np.concatenate([
         (A @ sol.u_f_h + A @ sol.q_h - f)[free],
         (A @ sol.phi_h - M @ sol.u_h + d)[free],
@@ -225,7 +230,7 @@ def test_kkt_solution_satisfies_oracle_equations(hierarchy):
     M = oracle_mass(mesh, dm)
     F = oracle_load(mesh, dm, lambda x, y: 1.0)
     D = oracle_load(mesh, dm, lambda x, y: x * (1 - x) * y * (1 - y))
-    free = prob.vh_free
+    free = vh_free(prob)
 
     scale = np.linalg.norm(F)
     r_state = (A @ sol.u_f_h + A @ sol.q_h - F)[free]

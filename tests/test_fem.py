@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from c0ip.c0ip import Discretization
-from c0ip.fem import P2, QuadratureRule, TriangleGeometry, build_dofmap, evaluate, interpolate
+from c0ip.fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
 from c0ip.mesh import built_in_polygon, mesh_hierarchy, refine_uniform, triangulate_initial
+
+from helpers import dof_nodes, interpolate
 
 
 def test_nodal_property():
@@ -69,7 +71,7 @@ def test_dofmap_counts_two_triangle_square():
     # V_h fixes the boundary dofs; the single free dof is the diagonal midpoint
     free = np.setdiff1d(np.arange(qh.n_dofs), qh.boundary_dof_ids)
     assert len(free) == 1
-    assert np.allclose(qh.nodes[free[0]], [0.5, 0.5])
+    assert np.allclose(dof_nodes(mesh)[free[0]], [0.5, 0.5])
 
 
 def test_dofmap_counts_refined_square():
@@ -92,19 +94,34 @@ def test_dofmap_shared_midpoints():
 
 def test_interpolate_constant_and_linear():
     mesh = refine_uniform(triangulate_initial(built_in_polygon("unit-square")))
-    dm = build_dofmap(mesh)
-    ones = interpolate(dm, lambda x, y: np.ones_like(x))
+    ones = interpolate(mesh, lambda x, y: np.ones_like(x))
     assert np.allclose(ones, 1.0)
-    xs = interpolate(dm, lambda x, y: x)
-    assert np.allclose(xs, dm.nodes[:, 0], atol=1e-15)
+    xs = interpolate(mesh, lambda x, y: x)
+    assert np.allclose(xs, dof_nodes(mesh)[:, 0], atol=1e-15)
+
+
+def evaluate(disc, coeffs, points):
+    """Point evaluation of a finite element function on ``disc``'s mesh (brute-force location)."""
+    geom = disc.geom
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty(len(pts))
+    for k, p in enumerate(pts):
+        ref = geom.to_reference(np.arange(disc.mesh.n_triangles), p[None, :])
+        lam0 = 1.0 - ref[:, 0] - ref[:, 1]
+        inside = (ref[:, 0] >= -1e-12) & (ref[:, 1] >= -1e-12) & (lam0 >= -1e-12)
+        hits = np.flatnonzero(inside)
+        if len(hits) == 0:
+            raise ValueError(f"point {p} lies outside the mesh")
+        t = int(hits[0])
+        out[k] = P2.values(np.clip(ref[t], 0.0, 1.0)) @ coeffs[disc.dofmap.cell_dofs[t]]
+    return out if out.size > 1 else float(out[0])
 
 
 def test_interpolation_reproduces_quadratics(rng=np.random.default_rng(3)):
     disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 2)[2])
-    dm = disc.dofmap
     c = rng.standard_normal(6)
     q = lambda x, y: c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
-    coeffs = interpolate(dm, q)
+    coeffs = interpolate(disc.mesh, q)
     # evaluate at random interior points and compare
     pts = []
     while len(pts) < 50:

@@ -16,6 +16,8 @@ from c0ip.mesh import (
     triangulate_initial,
 )
 
+from helpers import dof_nodes, perimeter
+
 
 def shoelace(vertices):
     v = np.asarray(vertices, dtype=float)
@@ -152,7 +154,7 @@ def test_boundary_length_matches_perimeter(domain):
     poly = built_in_polygon(domain)
     for mesh in mesh_hierarchy(poly, 2):
         blen = float(mesh.edge_length[mesh.is_boundary_edge].sum())
-        assert abs(blen - poly.perimeter) < 1e-12 * max(poly.perimeter, 1.0)
+        assert abs(blen - perimeter(poly)) < 1e-12 * max(perimeter(poly), 1.0)
 
 
 def test_similarity_classes_invariant_under_refinement():
@@ -180,7 +182,7 @@ def test_corner_vertices_persist():
     for mesh in mesh_hierarchy(poly, 3):
         pts = mesh.vertices[mesh.corner_vertex_ids]
         assert np.allclose(pts, poly.vertices, atol=1e-14)
-        assert np.all(mesh.boundary_vertex_flags[mesh.corner_vertex_ids])
+        assert np.all(np.isin(mesh.corner_vertex_ids, build_dofmap(mesh).boundary_dof_ids))
 
 
 def _nearest_corner_ids(polygon, vertices):
@@ -231,8 +233,8 @@ def test_prefix_property_on_random_convex_polygons(poly):
         assert np.array_equal(mesh.corner_vertex_ids, np.arange(len(poly.vertices)))
     for coarse, fine in zip(hier, hier[1:]):
         assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
-        nodes = build_dofmap(coarse).nodes
-        assert np.array_equal(build_dofmap(fine).nodes[: len(nodes)], nodes)
+        nodes = dof_nodes(coarse)
+        assert np.array_equal(dof_nodes(fine)[: len(nodes)], nodes)
 
 
 def test_vertex_prefix_stability():

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from c0ip.c0ip import NORM_NAMES, Discretization, matrix_norms
-from c0ip.fem import build_dofmap, interpolate
+from c0ip.fem import build_dofmap
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import (
     ExactField,
     _exact_errors,
     eoc,
-    error_l2,
     get_case,
     restrict_to_level,
     run_study,
 )
+
+from helpers import interpolate, jittered_hexagon, l2_error
 
 
 def test_eoc_trivial_values():
@@ -29,18 +30,18 @@ def test_eoc_length_mismatch():
 def test_error_l2_trivial():
     disc = Discretization(mesh_hierarchy(built_in_polygon("unit-square"), 2)[2])
     q = lambda x, y: 1.0 + 2 * x - y + 0.5 * x * y
-    coeffs = interpolate(disc.dofmap, q)
-    assert error_l2(coeffs, q, disc) <= 1e-12
+    coeffs = interpolate(disc.mesh, q)
+    assert l2_error(coeffs, q, disc) <= 1e-12
     zero = np.zeros(disc.dofmap.n_dofs)
-    assert error_l2(zero, lambda x, y: np.ones_like(x), disc) == pytest.approx(1.0)
+    assert l2_error(zero, lambda x, y: np.ones_like(x), disc) == pytest.approx(1.0)
 
 
 def test_error_l2_against_independent_quadrature():
     mesh = mesh_hierarchy(built_in_polygon("unit-square"), 3)[3]
     dm = build_dofmap(mesh)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-    coeffs = interpolate(dm, f)
-    got = error_l2(coeffs, f, Discretization(mesh))
+    coeffs = interpolate(mesh, f)
+    got = l2_error(coeffs, f, Discretization(mesh))
     assert got == pytest.approx(_interp_error_reference(mesh, dm, coeffs, f), rel=1e-9)
 
 
@@ -74,7 +75,7 @@ def test_error_h_trivial():
         gradient=lambda x, y: (2 * x + 0.5 * y, 0.5 * x),
         laplacian=lambda x, y: 2.0 * np.ones_like(x),
     )
-    coeffs = interpolate(dm, exact.value)
+    coeffs = interpolate(disc.mesh, exact.value)
     assert _exact_errors(coeffs, exact, disc, ("h",))["h"] <= 1e-11
 
     # v = 0 against an exact field with constant Laplacian c and zero
@@ -97,8 +98,8 @@ def test_interpolation_eoc_calibration():
     el2, eh, hs = [], [], []
     for mesh in hier[2:]:
         disc = Discretization(mesh)
-        coeffs = interpolate(disc.dofmap, case.exact.value)
-        el2.append(error_l2(coeffs, case.exact.value, disc))
+        coeffs = interpolate(disc.mesh, case.exact.value)
+        el2.append(l2_error(coeffs, case.exact.value, disc))
         eh.append(_exact_errors(coeffs, case.exact, disc, ("h",))["h"])
         hs.append(mesh.h_max)
     rates_l2 = eoc(el2, hs)
@@ -110,12 +111,11 @@ def test_interpolation_eoc_calibration():
 def test_restriction_is_prefix():
     hier = mesh_hierarchy(built_in_polygon("unit-square"), 3)
     coarse = build_dofmap(hier[1])
-    fine = build_dofmap(hier[3])
     f = lambda x, y: np.sin(x) + np.cos(y)
-    res = restrict_to_level(interpolate(fine, f), coarse)
+    res = restrict_to_level(interpolate(hier[3], f), coarse)
     # restriction equals direct interpolation on the coarse mesh because
     # coarse dof nodes are fine vertices with matching indices
-    assert np.allclose(res, interpolate(coarse, f), atol=1e-15)
+    assert np.allclose(res, interpolate(hier[1], f), atol=1e-15)
 
 
 def test_run_study_clamped_plate_report():
@@ -141,6 +141,17 @@ def test_run_study_rejects_bad_input():
         run_study("bubble", [1], domain="hexagon")  # bubble needs the unit square
     with pytest.raises(KeyError):
         run_study("no-such-case", [1])
+
+
+def test_run_study_rejects_repeated_norms():
+    with pytest.raises(ValueError, match="norms must not repeat"):
+        run_study("bubble", [1, 2], norms=("l2", "l2", "h"))
+
+
+def test_run_study_rejects_repeated_levels():
+    # a repeated level makes a zero mesh-size ratio and a nan in every EOC column
+    with pytest.raises(ValueError, match="levels must not repeat"):
+        run_study("bubble", [2, 2])
 
 
 def test_reference_study_zero_case():
@@ -287,14 +298,6 @@ def _whole_table_errors(v, exact, disc, norms):
     return combine_norms(norms, l2**2, hsq, meansq)
 
 
-def _jittered_hexagon(rng):
-    from c0ip.mesh import Polygon
-
-    angles = np.arange(6) * np.pi / 3.0 + rng.uniform(-0.08, 0.08, 6)
-    radii = 1.0 + rng.uniform(-0.05, 0.05, 6)
-    return Polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]))
-
-
 @pytest.mark.parametrize(
     "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
 )
@@ -305,7 +308,7 @@ def test_chunked_exact_errors_bit_identical_to_whole_tables(domain, monkeypatch)
     import c0ip.c0ip
 
     rng = np.random.default_rng(29)
-    poly = _jittered_hexagon(rng) if domain == "jittered-hexagon" else built_in_polygon(domain)
+    poly = jittered_hexagon(rng) if domain == "jittered-hexagon" else built_in_polygon(domain)
     hierarchy = mesh_hierarchy(poly, 4)
     for chunk in (7, 10**9):
         monkeypatch.setattr(c0ip.c0ip, "_CHUNK", chunk)
@@ -319,7 +322,7 @@ def test_chunked_exact_errors_bit_identical_to_whole_tables(domain, monkeypatch)
                 for norms in (("l2",), ("h",), ("l2", "energy")):
                     got = _exact_errors(v, exact, disc, norms)
                     assert got == {n: want[n] for n in norms}, (chunk, level, case, norms)
-                assert error_l2(v, exact.value, disc) == want["l2"]
+                assert l2_error(v, exact.value, disc) == want["l2"]
 
 
 def test_exact_errors_build_edge_tables_one_chunk_at_a_time(monkeypatch):

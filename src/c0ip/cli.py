@@ -16,55 +16,22 @@ EOC row; ``c0ip list-cases`` shows the manufactured cases; ``c0ip check-mesh
 import argparse
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .mesh import (
-    BUILT_IN_DOMAINS,
-    MeshError,
-    built_in_polygon,
-    load_polygon,
-    mesh_hierarchy,
-)
-from .study import CASES, MAX_REFERENCE_LEVEL, NORM_NAMES, get_case, run_study
+from .mesh import MeshError, load_domain, mesh_hierarchy
+from .study import CASES, DEFAULT_CASE, Study, StudyError, get_case, run_study
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "parse_config", "run", "main"]
 
-PROBLEMS = ("clamped-plate", "dirichlet-control", "cahn-hilliard")
-_DEFAULT_CASE = {
-    "clamped-plate": "bubble",
-    "cahn-hilliard": "cosine",
-    "dirichlet-control": "reference",
-}
+_KEYS = ("problem", "domain", "levels", "sigma", "alpha", "case", "output", "norms",
+         "reference-level")
 
 
 class ConfigError(ValueError):
     """Malformed run configuration."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    problem: str
-    levels: tuple
-    domain: str = "unit-square"
-    sigma: float = 10.0
-    alpha: float = 0.1
-    case: Optional[str] = None
-    output: Optional[str] = None
-    norms: tuple = NORM_NAMES
-    reference_level: Optional[int] = None
-
-    @property
-    def case_name(self):
-        return self.case or _DEFAULT_CASE[self.problem]
-
-    @property
-    def output_path(self):
-        return self.output or f"{self.problem}.csv"
 
 
 def _parse_levels(text, where):
@@ -78,13 +45,15 @@ def _parse_levels(text, where):
             lo = hi = int(text)
     except ValueError:
         raise ConfigError(f"{where}: levels must be 'a..b' or an integer") from None
+    if lo > hi:
+        raise ConfigError(f"{where}: the lower level {lo} must not exceed the upper level {hi}")
     if not (1 <= lo <= hi <= 7):
         raise ConfigError(f"{where}: levels must lie within [1, 7]")
     return tuple(range(lo, hi + 1))
 
 
 def parse_config(text):
-    """Parse and validate a run configuration."""
+    """The Study a run configuration describes, and the CSV path to write."""
     values = {}
     linenos = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,103 +66,40 @@ def parse_config(text):
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = val
-        linenos[key] = lineno
-
-    known = {
-        "problem", "domain", "levels", "sigma", "alpha",
-        "case", "output", "norms", "reference-level",
-    }
+        linenos[key] = f"line {lineno}"
     for key in values:
-        if key not in known:
-            raise ConfigError(f"line {linenos[key]}: unknown key {key!r}")
+        if key not in _KEYS:
+            raise ConfigError(f"{linenos[key]}: unknown key {key!r}")
 
     for required in ("problem", "levels"):
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
-
     problem = values["problem"]
-    if problem not in PROBLEMS:
+    if problem not in DEFAULT_CASE:
         raise ConfigError(
-            f"line {linenos['problem']}: problem must be one of {', '.join(PROBLEMS)}"
+            f"{linenos['problem']}: problem must be one of {', '.join(DEFAULT_CASE)}"
         )
-    levels = _parse_levels(values["levels"], f"line {linenos['levels']}")
 
-    sigma = 10.0
-    if "sigma" in values:
-        try:
-            sigma = float(values["sigma"])
-        except ValueError:
-            raise ConfigError(f"line {linenos['sigma']}: sigma must be a number") from None
-        if not sigma >= 1.0:
-            raise ConfigError(f"line {linenos['sigma']}: sigma must be >= 1")
-        if not np.isfinite(sigma):
-            raise ConfigError(f"line {linenos['sigma']}: sigma must be finite")
-
-    alpha = 0.1
-    if "alpha" in values:
-        try:
-            alpha = float(values["alpha"])
-        except ValueError:
-            raise ConfigError(f"line {linenos['alpha']}: alpha must be a number") from None
-        if not alpha > 0.0:
-            raise ConfigError(f"line {linenos['alpha']}: alpha must be > 0")
-        if not np.isfinite(alpha):
-            raise ConfigError(f"line {linenos['alpha']}: alpha must be finite")
-
-    case = values.get("case")
-    if case is not None:
-        if case not in CASES:
-            raise ConfigError(f"line {linenos['case']}: unknown case {case!r}")
-        if CASES[case].problem != problem:
-            raise ConfigError(
-                f"line {linenos['case']}: case {case!r} belongs to problem "
-                f"{CASES[case].problem!r}"
-            )
-
-    norms = NORM_NAMES
+    given = {"levels": _parse_levels(values["levels"], linenos["levels"])}
+    if "domain" in values:
+        given["domain"] = values["domain"]
     if "norms" in values:
-        norms = tuple(s.strip() for s in values["norms"].replace(",", " ").split())
-        bad = [n for n in norms if n not in NORM_NAMES]
-        if bad or not norms:
-            raise ConfigError(
-                f"line {linenos['norms']}: norms must be a subset of {{{', '.join(NORM_NAMES)}}}"
-            )
-        repeated = sorted({n for n in norms if norms.count(n) > 1})
-        if repeated:
-            raise ConfigError(f"line {linenos['norms']}: repeated norm {', '.join(repeated)}")
-
-    reference_level = None
-    if "reference-level" in values:
-        try:
-            reference_level = int(values["reference-level"])
-        except ValueError:
-            raise ConfigError(
-                f"line {linenos['reference-level']}: reference-level must be an integer"
-            ) from None
-        if reference_level <= levels[-1] or reference_level > MAX_REFERENCE_LEVEL:
-            raise ConfigError(
-                f"line {linenos['reference-level']}: reference-level must exceed the "
-                f"finest level and be at most {MAX_REFERENCE_LEVEL}"
-            )
-
-    domain = values.get("domain", "unit-square")
-    if domain not in BUILT_IN_DOMAINS and not Path(domain).exists():
-        raise ConfigError(
-            f"line {linenos['domain']}: domain must be a built-in name "
-            f"({', '.join(sorted(BUILT_IN_DOMAINS))}) or a vertex-file path"
-        )
-
-    return RunConfig(
-        problem=problem,
-        levels=levels,
-        domain=domain,
-        sigma=sigma,
-        alpha=alpha,
-        case=case,
-        output=values.get("output"),
-        norms=norms,
-        reference_level=reference_level,
-    )
+        given["norms"] = values["norms"].replace(",", " ").split()
+    for key, kind in (("sigma", float), ("alpha", float), ("reference-level", int)):
+        if key in values:
+            try:
+                given[key.replace("-", "_")] = kind(values[key])
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{linenos[key]}: {key} must be {noun}") from None
+    try:
+        case = get_case(values.get("case", DEFAULT_CASE[problem]))
+        if case.problem != problem:
+            raise StudyError("case", f"case {case.name!r} belongs to problem {case.problem!r}")
+        study = Study(case, **given)
+    except StudyError as exc:
+        raise ConfigError(f"{linenos[exc.key]}: {exc}") from None
+    return study, values.get("output", f"{problem}.csv")
 
 
 def build_identifier():
@@ -214,28 +120,15 @@ def build_identifier():
     return base
 
 
-def run(config):
-    """Execute one configured study; returns a process exit status."""
+def run(study, output):
+    """Execute one study and write its CSV to ``output``; returns a process exit status."""
     try:
-        domain = (
-            config.domain
-            if config.domain in BUILT_IN_DOMAINS
-            else load_polygon(config.domain)
-        )
-        report = run_study(
-            get_case(config.case_name),
-            config.levels,
-            sigma=config.sigma,
-            alpha=config.alpha,
-            norms=config.norms,
-            domain=domain,
-            reference_level=config.reference_level,
-        )
-    except Exception as exc:  # solver/config/mesh failures -> nonzero status
+        report = run_study(study)
+    except Exception as exc:  # solver and mesh failures -> nonzero status
         print(f"error: {exc}", file=sys.stderr)
         return 1
     csv_text = report.to_csv(build_id=build_identifier())
-    path = Path(config.output_path)
+    path = Path(output)
     try:
         path.write_text(csv_text)
     except OSError as exc:
@@ -249,7 +142,7 @@ def run(config):
 
 
 def _check_mesh(domain, levels):
-    polygon = built_in_polygon(domain) if domain in BUILT_IN_DOMAINS else load_polygon(domain)
+    polygon = load_domain(domain)
     hierarchy = mesh_hierarchy(polygon, levels[-1])
     print("level  vertices  triangles  edges  h            area_defect   checks")
     status = 0
@@ -331,25 +224,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "list-cases":
         return _list_cases()
-    if args.command == "check-mesh":
+    try:
+        if args.command == "check-mesh":
+            return _check_mesh(args.domain, _parse_levels(args.levels, "argument levels"))
         try:
-            levels = _parse_levels(args.levels, "argument levels")
-            return _check_mesh(args.domain, levels)
-        except (ConfigError, MeshError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    # run
-    try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        study, output = parse_config(text)
+    except (ConfigError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    return run(study, output)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ __all__ = [
     "MeshError",
     "built_in_polygon",
     "load_polygon",
+    "load_domain",
     "triangulate_initial",
     "refine_uniform",
     "build_edges",
@@ -151,6 +152,11 @@ def load_polygon(path):
             except ValueError:
                 raise MeshError(f"{path}:{lineno}: non-numeric coordinate") from None
     return Polygon(np.asarray(rows, dtype=float), name=str(path))
+
+
+def load_domain(domain):
+    """A built-in domain by name, else the polygon in the vertex file at that path."""
+    return built_in_polygon(domain) if domain in BUILT_IN_DOMAINS else load_polygon(domain)
 
 
 def triangulate_initial(polygon):

@@ -29,13 +29,16 @@ from .c0ip import (
 )
 from .fem import P2, QuadratureRule
 from .linalg import cholesky_solve
-from .mesh import built_in_polygon, mesh_hierarchy
+from .mesh import BUILT_IN_DOMAINS, MeshError, Polygon, load_domain, mesh_hierarchy
 
 __all__ = [
     "ExactField",
     "ManufacturedCase",
     "CASES",
+    "DEFAULT_CASE",
     "get_case",
+    "Study",
+    "StudyError",
     "eoc",
     "ConvergenceReport",
     "run_study",
@@ -171,12 +174,118 @@ CASES = {
 }
 
 
+# the case a problem kind runs when none is named; its keys are the problem kinds
+DEFAULT_CASE = {
+    "clamped-plate": "bubble",
+    "dirichlet-control": "reference",
+    "cahn-hilliard": "cosine",
+}
+
+
+class StudyError(ValueError):
+    """A refused study input; ``key`` names the config key that sets it."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
+
+
+class _UnknownCase(StudyError, KeyError):
+    # a failed lookup in CASES, so also a KeyError, printed without quotes
+    __str__ = StudyError.__str__
+
+
+def _require(ok, key, message):
+    if not ok:
+        raise StudyError(key, message)
+
+
 def get_case(name):
     try:
         return CASES[name]
     except KeyError:
         known = ", ".join(sorted(CASES))
-        raise KeyError(f"unknown manufactured case {name!r} (available: {known})") from None
+        raise _UnknownCase("case", f"unknown case {name!r} (available: {known})") from None
+
+
+@dataclass(frozen=True)
+class Study:
+    """One convergence study: a case, its levels and domain, and its parameters.
+
+    The constructor applies every default and refuses every bad input with
+    a ``StudyError``.  ``case`` (a name or a ManufacturedCase) becomes the
+    case, and ``domain`` (a built-in name, a vertex-file path or a Polygon)
+    the Polygon; an exact-error case takes only its built-in domain, by
+    name.  ``alpha`` (default 0.1) is for control cases only and
+    ``reference_level`` (default finest level + 2) for reference-based
+    cases only; either is refused on any other case.
+    """
+
+    case: object
+    levels: tuple
+    domain: object = "unit-square"
+    sigma: float = 10.0
+    alpha: Optional[float] = None
+    norms: tuple = NORM_NAMES
+    reference_level: Optional[int] = None
+
+    def __post_init__(self):
+        case = get_case(self.case) if isinstance(self.case, str) else self.case
+        levels = tuple(sorted(int(l) for l in self.levels))
+        _require(levels and levels[0] >= 1, "levels",
+                 "levels must be a nonempty list of integers >= 1")
+        _require(len(set(levels)) == len(levels), "levels",
+                 f"levels must not repeat, got {list(levels)}")
+        _require(self.sigma >= 1.0, "sigma", "sigma must be >= 1")
+        _require(np.isfinite(self.sigma), "sigma", "sigma must be finite")
+
+        alpha = self.alpha
+        if case.problem == "dirichlet-control":
+            alpha = 0.1 if alpha is None else alpha
+            _require(alpha > 0.0, "alpha", "alpha must be > 0")
+            _require(np.isfinite(alpha), "alpha", "alpha must be finite")
+        else:
+            _require(alpha is None, "alpha",
+                     f"alpha is for dirichlet-control only, not case {case.name!r}")
+
+        norms = tuple(self.norms)
+        _require(norms and all(n in NORM_NAMES for n in norms), "norms",
+                 f"norms must be a subset of {{{', '.join(NORM_NAMES)}}}")
+        repeated = sorted({n for n in norms if norms.count(n) > 1})
+        _require(not repeated, "norms",
+                 f"repeated norm {', '.join(repeated)}: norms must not repeat")
+
+        ref = self.reference_level
+        if case.exact is not None:
+            _require(ref is None, "reference-level", "reference-level is for "
+                     f"reference-based cases only, not case {case.name!r}")
+        elif ref is None:
+            ref = levels[-1] + 2
+            _require(ref <= MAX_REFERENCE_LEVEL, "levels",
+                     f"reference level {ref} exceeds the maximum of {MAX_REFERENCE_LEVEL}; "
+                     "the default is the finest study level + 2, so choose coarser study "
+                     "levels or an explicit reference level")
+        else:
+            _require(levels[-1] < ref <= MAX_REFERENCE_LEVEL, "reference-level",
+                     "reference-level must exceed the finest level and be at most "
+                     f"{MAX_REFERENCE_LEVEL}, got {ref}")
+
+        domain = self.domain
+        name = domain.name if isinstance(domain, Polygon) else str(domain)
+        _require(case.domains is None or domain in case.domains, "domain",
+                 f"case {case.name!r} is defined on {case.domains}, not {name!r}")
+        if not isinstance(domain, Polygon):
+            try:
+                domain = load_domain(domain)
+            except (OSError, MeshError) as exc:
+                builtins = ", ".join(sorted(BUILT_IN_DOMAINS))
+                raise StudyError("domain", f"domain must be a built-in name ({builtins}) "
+                                 f"or a vertex file: {exc}") from None
+
+        resolved = dict(case=case, levels=levels, domain=domain, alpha=alpha, norms=norms,
+                        reference_level=ref)
+        for key, value in resolved.items():
+            object.__setattr__(self, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +413,32 @@ class StudyRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    case: str
-    problem: str
-    domain: str
-    sigma: float
-    alpha: Optional[float]
-    norms: tuple
+    study: Study
     rows: list
     eoc: dict
     compatibility_defect: Optional[float] = None
-    reference_level: Optional[int] = None
 
     def to_csv(self, build_id="unknown"):
+        study = self.study
+        alpha = "n/a" if study.alpha is None else _fmt(study.alpha)
         lines = [
             "# c0ip convergence report",
-            f"# case={self.case} problem={self.problem} domain={self.domain}",
-            f"# sigma={_fmt(self.sigma)} alpha={_fmt(self.alpha) if self.alpha is not None else 'n/a'}"
-            f" build={build_id}",
+            f"# case={study.case.name} problem={study.case.problem} domain={study.domain.name}",
+            f"# sigma={_fmt(study.sigma)} alpha={alpha} build={build_id}",
         ]
-        if self.reference_level is not None:
-            lines.append(f"# reference_level={self.reference_level}")
+        if study.reference_level is not None:
+            lines.append(f"# reference_level={study.reference_level}")
         if self.compatibility_defect is not None:
             lines.append(f"# compatibility_defect={_fmt(self.compatibility_defect)}")
-        err_cols = [f"err_{n}" for n in self.norms]
-        eoc_cols = [f"eoc_{n}" for n in self.norms]
+        norms = study.norms
+        err_cols = [f"err_{n}" for n in norms]
+        eoc_cols = [f"eoc_{n}" for n in norms]
         lines.append(
             ",".join(["level", "h", "ndofs"] + err_cols + eoc_cols + ["solver_iters", "seconds"])
         )
         for i, row in enumerate(self.rows):
-            errs = [_fmt(row.errors[n]) for n in self.norms]
-            rates = ["" if i == 0 else _fmt(self.eoc[n][i - 1]) for n in self.norms]
+            errs = [_fmt(row.errors[n]) for n in norms]
+            rates = ["" if i == 0 else _fmt(self.eoc[n][i - 1]) for n in norms]
             lines.append(
                 ",".join(
                     [str(row.level), _fmt(row.h), str(row.ndofs)]
@@ -347,7 +452,7 @@ class ConvergenceReport:
     def final_eoc_line(self):
         if len(self.rows) < 2:
             return "eoc: n/a (single level)"
-        parts = [f"{n}={_fmt(self.eoc[n][-1])}" for n in self.norms]
+        parts = [f"{n}={_fmt(self.eoc[n][-1])}" for n in self.study.norms]
         last = self.rows[-1]
         return f"final eoc (level {self.rows[-2].level}->{last.level}): " + " ".join(parts)
 
@@ -391,54 +496,16 @@ def restrict_to_level(fine_coeffs, coarse_dofmap):
 _reference_errors = matrix_norms
 
 
-def run_study(
-    case,
-    levels,
-    sigma=10.0,
-    alpha=0.1,
-    norms=None,
-    domain=None,
-    reference_level=None,
-):
-    """Solve a manufactured case across a refinement hierarchy.
+def run_study(study):
+    """Solve a Study's case across its refinement hierarchy.
 
     Exact-field cases measure errors against the closed form; the others
-    solve once more on a finer reference level and measure the restricted
+    solve once more on the finer reference level and measure the restricted
     difference.  Returns a ConvergenceReport.
     """
-    if isinstance(case, str):
-        case = get_case(case)
-    levels = sorted(int(l) for l in levels)
-    if len(levels) < 1 or levels[0] < 1:
-        raise ValueError("levels must be a nonempty list of integers >= 1")
-    if len(set(levels)) < len(levels):
-        raise ValueError(f"levels must not repeat, got {levels}")
-    domain = domain or "unit-square"
-    if case.domains is not None and domain not in case.domains:
-        raise ValueError(
-            f"case {case.name!r} is defined on {case.domains}, not {domain!r}"
-        )
-    needs_reference = case.exact is None
-    if needs_reference and reference_level is None:
-        reference_level = levels[-1] + 2
-    if needs_reference and reference_level <= levels[-1]:
-        raise ValueError("reference level must exceed the finest study level")
-    if needs_reference and reference_level > MAX_REFERENCE_LEVEL:
-        raise ValueError(
-            f"reference level {reference_level} exceeds the maximum of "
-            f"{MAX_REFERENCE_LEVEL}; the default is the finest study level + 2, "
-            "so choose coarser study levels or an explicit reference level"
-        )
-    norms = tuple(norms) if norms else NORM_NAMES
-    for n in norms:
-        if n not in NORM_NAMES:
-            raise ValueError(f"unknown norm {n!r} (choose from {NORM_NAMES})")
-    if len(set(norms)) < len(norms):
-        raise ValueError(f"norms must not repeat, got {norms}")
-
-    polygon = built_in_polygon(domain) if isinstance(domain, str) else domain
-    max_level = reference_level if needs_reference else levels[-1]
-    hierarchy = mesh_hierarchy(polygon, max_level)
+    case, levels, sigma, alpha = study.case, study.levels, study.sigma, study.alpha
+    reference_level, norms = study.reference_level, study.norms
+    hierarchy = mesh_hierarchy(study.domain, reference_level or levels[-1])
     h0 = hierarchy[0].h_max
 
     compat = None
@@ -449,7 +516,7 @@ def run_study(
         )
 
     ref_coeffs = None
-    if needs_reference:
+    if reference_level is not None:
         # the reference discretization is dropped here, before the study levels
         ref_coeffs = _solve_case_on_mesh(case, hierarchy[reference_level], sigma, alpha)[1]
 
@@ -458,7 +525,7 @@ def run_study(
         t0 = time.perf_counter()
         disc, v, iters = _solve_case_on_mesh(case, hierarchy[lev], sigma, alpha)
         seconds = time.perf_counter() - t0
-        if needs_reference:
+        if reference_level is not None:
             diff = v - restrict_to_level(ref_coeffs, disc.dofmap)
             errors = _reference_errors(diff, disc, norms)
         else:
@@ -476,15 +543,4 @@ def run_study(
 
     hs = [r.h for r in rows]
     rates = {n: eoc([r.errors[n] for r in rows], hs) for n in norms}
-    return ConvergenceReport(
-        case=case.name,
-        problem=case.problem,
-        domain=domain if isinstance(domain, str) else polygon.name,
-        sigma=sigma,
-        alpha=alpha if case.problem == "dirichlet-control" else None,
-        norms=norms,
-        rows=rows,
-        eoc=rates,
-        compatibility_defect=compat,
-        reference_level=reference_level if needs_reference else None,
-    )
+    return ConvergenceReport(study=study, rows=rows, eoc=rates, compatibility_defect=compat)

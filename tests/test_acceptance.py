@@ -26,7 +26,7 @@ from c0ip.c0ip import Discretization, assemble_a_h, matrix_norms
 from c0ip.cahn_hilliard import default_pin_corner
 from c0ip.linalg import BandedCholesky, PositiveDefiniteError
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
-from c0ip.study import run_study
+from c0ip.study import Study, run_study
 
 from helpers import dof_nodes
 from kkt_reference import objective, solve_kkt_monolithic
@@ -48,7 +48,7 @@ def test_criterion_1_clamped_plate_rates():
     pre-asymptotic pair 4->5 is printed for the record.
     """
     t0 = time.perf_counter()
-    rep = run_study("bubble", [2, 3, 4, 5, 6], sigma=5.0, norms=("l2", "energy"))
+    rep = run_study(Study("bubble", [2, 3, 4, 5, 6], sigma=5.0, norms=("l2", "energy")))
     elapsed = time.perf_counter() - t0
     eoc_energy = rep.eoc["energy"][-1]
     eoc_l2 = rep.eoc["l2"][-1]
@@ -80,14 +80,16 @@ def test_criterion_1_clamped_plate_rates():
 
 def test_criterion_2_cahn_hilliard_rates():
     """Cosine case on the unit square plus the irregular-pentagon study."""
-    rep = run_study("cosine", [2, 3, 4, 5], norms=("l2", "h"))
+    rep = run_study(Study("cosine", [2, 3, 4, 5], norms=("l2", "h")))
     eoc_h = rep.eoc["h"][-1]
     defect = rep.compatibility_defect
     ok_square = 0.85 <= eoc_h <= 1.15 and abs(defect) <= 1e-10
 
     pent = run_study(
-        "cosine-flux", [2, 3, 4, 5], domain="pentagon150", reference_level=6,
-        norms=("h",),
+        Study(
+            "cosine-flux", [2, 3, 4, 5], domain="pentagon150", reference_level=6,
+            norms=("h",),
+        )
     )
     errs = [r.errors["h"] for r in pent.rows]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -173,7 +175,7 @@ def test_criterion_4_control_self_convergence():
     """Smooth-data control study against a level-6 reference."""
     t0 = time.perf_counter()
     rep = run_study(
-        "reference", [1, 2, 3, 4], alpha=0.1, reference_level=6, norms=("l2",)
+        Study("reference", [1, 2, 3, 4], alpha=0.1, reference_level=6, norms=("l2",))
     )
     elapsed = time.perf_counter() - t0
     errs = [r.errors["l2"] for r in rep.rows]

@@ -69,7 +69,7 @@ def test_incompatible_data_rejected(square_hierarchy):
 
 def test_study_checks_compatibility_once_on_its_last_level(monkeypatch):
     import c0ip.cahn_hilliard as ch_mod
-    from c0ip.study import run_study
+    from c0ip.study import Study, run_study
 
     calls = []
 
@@ -78,7 +78,9 @@ def test_study_checks_compatibility_once_on_its_last_level(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(ch_mod, "check_compatibility", spy)
-    rep = run_study("cosine-flux", [1, 2], reference_level=3, domain="hexagon", norms=("h",))
+    rep = run_study(
+        Study("cosine-flux", [1, 2], reference_level=3, domain="hexagon", norms=("h",))
+    )
     assert len(calls) == 1
     level, defect = calls[0]
     assert level == 2
@@ -87,7 +89,7 @@ def test_study_checks_compatibility_once_on_its_last_level(monkeypatch):
 
 def test_study_rejects_incompatible_data_before_any_factor(monkeypatch):
     from c0ip.linalg import BandedCholesky
-    from c0ip.study import ManufacturedCase, run_study
+    from c0ip.study import ManufacturedCase, Study, run_study
 
     factors = []
     init = BandedCholesky.__init__
@@ -104,7 +106,7 @@ def test_study_rejects_incompatible_data_before_any_factor(monkeypatch):
         data={"g1": lambda x, y: np.ones_like(x), "g2": zero},
     )
     with pytest.raises(CompatibilityError):
-        run_study(case, [1, 2], reference_level=3)
+        run_study(Study(case, [1, 2], reference_level=3))
     assert factors == []
 
 

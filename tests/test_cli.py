@@ -1,23 +1,25 @@
+import re
+
 import pytest
 
-from c0ip.cli import ConfigError, RunConfig, main, parse_config, run
+from c0ip.cli import ConfigError, main, parse_config, run
 
 
 def test_parse_minimal_defaults():
-    cfg = parse_config("problem = clamped-plate\nlevels = 1..4\n")
-    assert cfg.problem == "clamped-plate"
-    assert cfg.levels == (1, 2, 3, 4)
-    assert cfg.sigma == 10.0
-    assert cfg.domain == "unit-square"
-    assert cfg.case_name == "bubble"
-    assert cfg.norms == ("l2", "h", "energy", "qh")
-    assert cfg.output_path == "clamped-plate.csv"
+    study, output = parse_config("problem = clamped-plate\nlevels = 1..4\n")
+    assert study.case.problem == "clamped-plate"
+    assert study.levels == (1, 2, 3, 4)
+    assert study.sigma == 10.0
+    assert study.domain.name == "unit-square"
+    assert study.case.name == "bubble"
+    assert study.norms == ("l2", "h", "energy", "qh")
+    assert output == "clamped-plate.csv"
 
 
 def test_parse_single_level_and_comments():
-    cfg = parse_config("# study\nproblem = cahn-hilliard  # the problem\nlevels = 3\n")
-    assert cfg.levels == (3,)
-    assert cfg.case_name == "cosine"
+    study, _ = parse_config("# study\nproblem = cahn-hilliard  # the problem\nlevels = 3\n")
+    assert study.levels == (3,)
+    assert study.case.name == "cosine"
 
 
 def test_parse_rejects_small_sigma():
@@ -92,17 +94,17 @@ def test_parse_every_key():
         "norms = l2,h\n"
         "reference-level = 5\n"
     )
-    assert parse_config(text) == RunConfig(
-        problem="dirichlet-control",
-        levels=(1, 2, 3),
-        domain="unit-square",
-        sigma=8.0,
-        alpha=0.25,
-        case="reference",
-        output="out.csv",
-        norms=("l2", "h"),
-        reference_level=5,
-    )
+    study, output = parse_config(text)
+    # compared field by field: == on a Study compares its polygon's numpy vertices
+    assert study.case.problem == "dirichlet-control"
+    assert study.levels == (1, 2, 3)
+    assert study.domain.name == "unit-square"
+    assert study.sigma == 8.0
+    assert study.alpha == 0.25
+    assert study.case.name == "reference"
+    assert output == "out.csv"
+    assert study.norms == ("l2", "h")
+    assert study.reference_level == 5
 
 
 def test_run_clamped_plate_writes_csv(tmp_path, capsys):
@@ -110,7 +112,7 @@ def test_run_clamped_plate_writes_csv(tmp_path, capsys):
     cfg = parse_config(
         f"problem = clamped-plate\nlevels = 1..3\nnorms = l2,h\noutput = {out}\n"
     )
-    assert run(cfg) == 0
+    assert run(*cfg) == 0
     text = out.read_text()
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "level,h,ndofs,err_l2,err_h,eoc_l2,eoc_h,solver_iters,seconds"
@@ -126,7 +128,7 @@ def test_run_cahn_hilliard_prints_compatibility(tmp_path, capsys):
     cfg = parse_config(
         f"problem = cahn-hilliard\nlevels = 2..3\nnorms = h\noutput = {out}\n"
     )
-    assert run(cfg) == 0
+    assert run(*cfg) == 0
     captured = capsys.readouterr()
     assert "compatibility defect" in captured.out
     defect = float(captured.out.split("compatibility defect:")[1].split()[0])
@@ -139,7 +141,7 @@ def test_run_zero_control_exact_zeros(tmp_path):
         "problem = dirichlet-control\nlevels = 1..2\ncase = zero\n"
         f"norms = l2\nreference-level = 3\noutput = {out}\n"
     )
-    assert run(cfg) == 0
+    assert run(*cfg) == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     for line in lines:
         assert float(line.split(",")[3]) == 0.0
@@ -152,7 +154,7 @@ def test_run_reports_failure(tmp_path):
         "problem = cahn-hilliard\ncase = cosine-flux\ndomain = pentagon150\n"
         f"levels = 2..3\nsigma = 5\nreference-level = 4\noutput = {out}\n"
     )
-    assert run(cfg) == 1
+    assert run(*cfg) == 1
     assert not out.exists()
 
 
@@ -162,7 +164,7 @@ def test_csv_identical_between_runs(tmp_path):
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
         cfg = parse_config(cfgtext + f"output = {out}\n")
-        assert run(cfg) == 0
+        assert run(*cfg) == 0
         lines = []
         for line in out.read_text().splitlines():
             if line.startswith("#") or line.startswith("level"):
@@ -209,3 +211,81 @@ def test_main_check_mesh_bad_levels_names_the_argument(capsys):
     err = capsys.readouterr().err
     assert "levels" in err
     assert "line 0" not in err
+
+
+PLATE = "problem = clamped-plate\nlevels = 1..2\n"
+CONTROL = "problem = dirichlet-control\nlevels = 1..2\n"
+CH = "problem = cahn-hilliard\nlevels = 1..2\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (PLATE + "sigma 5\n", 3, "expected 'key = value'"),
+        (PLATE + "levels = 3\n", 3, "duplicate key 'levels'"),
+        (PLATE + "penalty = 3\n", 3, "unknown key 'penalty'"),
+        ("problem = plate\nlevels = 1..2\n", 1,
+         "problem must be one of clamped-plate, dirichlet-control, cahn-hilliard"),
+        ("problem = clamped-plate\nlevels = 1..x\n", 2, "levels must be 'a..b' or an integer"),
+        ("problem = clamped-plate\nlevels = 0..4\n", 2, r"levels must lie within \[1, 7\]"),
+        ("problem = clamped-plate\nlevels = 3..2\n", 2,
+         "the lower level 3 must not exceed the upper level 2"),
+        (PLATE + "sigma = ten\n", 3, "sigma must be a number"),
+        (PLATE + "sigma = 0.5\n", 3, "sigma must be >= 1"),
+        (PLATE + "sigma = nan\n", 3, "sigma must be >= 1"),
+        (PLATE + "sigma = inf\n", 3, "sigma must be finite"),
+        (CONTROL + "alpha = small\n", 3, "alpha must be a number"),
+        (CONTROL + "alpha = 0\n", 3, "alpha must be > 0"),
+        (CONTROL + "alpha = inf\n", 3, "alpha must be finite"),
+        (CH + "alpha = 3\n", 3, "alpha is for dirichlet-control only, not case 'cosine'"),
+        (PLATE + "alpha = 3\n", 3, "alpha is for dirichlet-control only, not case 'bubble'"),
+        (PLATE + "case = nope\n", 3, "unknown case 'nope'"),
+        (PLATE + "case = cosine\n", 3, "case 'cosine' belongs to problem 'cahn-hilliard'"),
+        (PLATE + "norms = l2,h3\n", 3, "norms must be a subset of {l2, h, energy, qh}"),
+        (PLATE + "norms = ,\n", 3, "norms must be a subset of {l2, h, energy, qh}"),
+        (PLATE + "norms = h, l2, h\n", 3, "repeated norm h: norms must not repeat"),
+        (CONTROL + "reference-level = 4.5\n", 3, "reference-level must be an integer"),
+        (CONTROL + "reference-level = 2\n", 3, "reference-level must exceed the finest level"),
+        (CONTROL + "reference-level = 9\n", 3, "be at most 8, got 9"),
+        (PLATE + "reference-level = 5\n", 3,
+         "reference-level is for reference-based cases only, not case 'bubble'"),
+        (CH + "case = cosine-flux\nreference-level = 3\nalpha = 1\n", 5,
+         "alpha is for dirichlet-control only"),
+        ("problem = dirichlet-control\nlevels = 2..7\n", 2,
+         "reference level 9 exceeds the maximum of 8"),
+        (PLATE + "domain = hexagon\n", 3,
+         r"case 'bubble' is defined on \('unit-square',\), not 'hexagon'"),
+        (CONTROL + "domain = no/such/vertices.txt\n", 3,
+         "or a vertex file: .*No such file or directory: 'no/such/vertices.txt'"),
+    ],
+)
+def test_parse_refuses_with_line_number(text, line, message):
+    with pytest.raises(ConfigError, match=f"^line {line}: .*{message}"):
+        parse_config(text)
+
+
+def test_case_domain_refusal_names_the_vertex_file(tmp_path, capsys):
+    # an exact-error case takes only its built-in domain by name, and the
+    # refusal names a vertex file by its path, not by its vertex array
+    square = tmp_path / "square.txt"
+    square.write_text("0 0\n1 0\n1 1\n0 1\n")
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"problem = clamped-plate\nlevels = 1..2\ndomain = {square}\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: line 3: case 'bubble' is defined on ('unit-square',), not '{square}'\n"
+    )
+
+
+def test_parse_refuses_malformed_vertex_file_with_line_number(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0\n1\n")
+    with pytest.raises(ConfigError, match=f"^line 3: .*: {re.escape(str(bad))}:2: expected 'x y'"):
+        parse_config(CONTROL + f"domain = {bad}\n")
+
+
+def test_check_mesh_reversed_levels(capsys):
+    assert main(["check-mesh", "hexagon", "3..2"]) == 1
+    err = capsys.readouterr().err
+    assert "argument levels: the lower level 3 must not exceed the upper level 2" in err

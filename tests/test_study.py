@@ -6,9 +6,11 @@ from c0ip.fem import build_dofmap
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 from c0ip.study import (
     ExactField,
+    StudyError,
     _exact_errors,
     eoc,
     get_case,
+    Study,
     restrict_to_level,
     run_study,
 )
@@ -119,7 +121,7 @@ def test_restriction_is_prefix():
 
 
 def test_run_study_clamped_plate_report():
-    rep = run_study("bubble", [1, 2], norms=("l2", "h"))
+    rep = run_study(Study("bubble", [1, 2], norms=("l2", "h")))
     assert [r.level for r in rep.rows] == [1, 2]
     assert rep.rows[0].h == pytest.approx(np.sqrt(2) / 2)
     assert rep.rows[1].h == pytest.approx(np.sqrt(2) / 4)
@@ -134,28 +136,79 @@ def test_run_study_clamped_plate_report():
 
 def test_run_study_rejects_bad_input():
     with pytest.raises(ValueError):
-        run_study("bubble", [])
+        run_study(Study("bubble", []))
     with pytest.raises(ValueError):
-        run_study("bubble", [1, 2], norms=("l3",))
+        run_study(Study("bubble", [1, 2], norms=("l3",)))
     with pytest.raises(ValueError):
-        run_study("bubble", [1], domain="hexagon")  # bubble needs the unit square
+        run_study(Study("bubble", [1], domain="hexagon"))  # bubble needs the unit square
     with pytest.raises(KeyError):
-        run_study("no-such-case", [1])
+        run_study(Study("no-such-case", [1]))
 
 
 def test_run_study_rejects_repeated_norms():
     with pytest.raises(ValueError, match="norms must not repeat"):
-        run_study("bubble", [1, 2], norms=("l2", "l2", "h"))
+        run_study(Study("bubble", [1, 2], norms=("l2", "l2", "h")))
 
 
 def test_run_study_rejects_repeated_levels():
     # a repeated level makes a zero mesh-size ratio and a nan in every EOC column
     with pytest.raises(ValueError, match="levels must not repeat"):
-        run_study("bubble", [2, 2])
+        run_study(Study("bubble", [2, 2]))
+
+
+def test_study_applies_each_default_once():
+    study = Study("reference", [2, 1])
+    assert study.case is get_case("reference")
+    assert study.levels == (1, 2)
+    assert study.domain.name == "unit-square"
+    assert study.sigma == 10.0
+    assert study.alpha == 0.1
+    assert study.norms == NORM_NAMES
+    assert study.reference_level == 4
+    exact = Study("bubble", [1, 2])
+    assert exact.alpha is None and exact.reference_level is None
+    hexagon = built_in_polygon("hexagon")
+    assert Study("reference", [1], domain=hexagon).domain is hexagon
+
+
+@pytest.mark.parametrize(
+    "case, levels, kwargs, key, message",
+    [
+        # unquoted, though the error is also the KeyError of a failed lookup
+        ("nope", [1], {}, "case", r"^unknown case 'nope' \(available: bubble, "),
+        ("bubble", [], {}, "levels", "nonempty list of integers >= 1"),
+        ("bubble", [0, 1], {}, "levels", "nonempty list of integers >= 1"),
+        ("bubble", [2, 2], {}, "levels", "levels must not repeat"),
+        ("bubble", [1], {"sigma": 0.5}, "sigma", "sigma must be >= 1"),
+        ("bubble", [1], {"sigma": float("inf")}, "sigma", "sigma must be finite"),
+        ("cosine", [1], {"alpha": 3.0}, "alpha", "alpha is for dirichlet-control only"),
+        ("reference", [1], {"alpha": 0.0}, "alpha", "alpha must be > 0"),
+        ("reference", [1], {"alpha": float("inf")}, "alpha", "alpha must be finite"),
+        ("bubble", [1], {"norms": ("l3",)}, "norms", "norms must be a subset"),
+        ("bubble", [1], {"norms": ()}, "norms", "norms must be a subset"),
+        ("bubble", [1], {"norms": ("l2", "l2")}, "norms", "norms must not repeat"),
+        ("bubble", [1], {"reference_level": 5}, "reference-level",
+         "reference-level is for reference-based cases only"),
+        ("zero", [1, 2], {"reference_level": 2}, "reference-level",
+         "must exceed the finest level"),
+        ("zero", [1, 2], {"reference_level": 9}, "reference-level", "be at most 8"),
+        ("zero", range(2, 8), {}, "levels", "reference level 9 exceeds the maximum of 8"),
+        ("bubble", [1], {"domain": "hexagon"}, "domain",
+         r"defined on \('unit-square',\), not 'hexagon'"),
+        ("bubble", [1], {"domain": built_in_polygon("unit-square")}, "domain",
+         "not 'unit-square'$"),
+        ("zero", [1], {"domain": "no/such/vertices.txt"}, "domain",
+         "No such file or directory: 'no/such/vertices.txt'"),
+    ],
+)
+def test_study_refuses_bad_input(case, levels, kwargs, key, message):
+    with pytest.raises(StudyError, match=message) as info:
+        Study(case, levels, **kwargs)
+    assert info.value.key == key
 
 
 def test_reference_study_zero_case():
-    rep = run_study("zero", [1, 2], reference_level=3, norms=("l2", "h"))
+    rep = run_study(Study("zero", [1, 2], reference_level=3, norms=("l2", "h")))
     for row in rep.rows:
         assert row.errors["l2"] == 0.0
         assert row.errors["h"] == 0.0
@@ -172,7 +225,7 @@ def test_default_reference_level_refused_before_meshing(monkeypatch, tmp_path, c
 
     monkeypatch.setattr(c0ip.study, "mesh_hierarchy", no_meshes)
     with pytest.raises(ValueError, match="reference level 9 exceeds the maximum of 8"):
-        run_study("reference", range(2, 8))
+        run_study(Study("reference", range(2, 8)))
 
     cfg = tmp_path / "ref.cfg"
     cfg.write_text(
@@ -183,8 +236,8 @@ def test_default_reference_level_refused_before_meshing(monkeypatch, tmp_path, c
 
 
 def test_csv_deterministic_except_seconds():
-    rep1 = run_study("bubble", [1, 2], sigma=5.0, norms=("l2",))
-    rep2 = run_study("bubble", [1, 2], sigma=5.0, norms=("l2",))
+    rep1 = run_study(Study("bubble", [1, 2], sigma=5.0, norms=("l2",)))
+    rep2 = run_study(Study("bubble", [1, 2], sigma=5.0, norms=("l2",)))
 
     def strip_seconds(text):
         out = []
@@ -199,7 +252,9 @@ def test_csv_deterministic_except_seconds():
 
 
 def test_reference_errors_all_norms():
-    rep = run_study("cosine-flux", [2, 3], reference_level=5, norms=("l2", "h", "energy", "qh"))
+    rep = run_study(
+        Study("cosine-flux", [2, 3], reference_level=5, norms=("l2", "h", "energy", "qh"))
+    )
     for row in rep.rows:
         assert row.errors["qh"] >= row.errors["h"] > 0.0
         assert row.errors["energy"] >= row.errors["l2"] > 0.0
@@ -208,7 +263,7 @@ def test_reference_errors_all_norms():
 
 
 def test_report_h_halves_exactly():
-    rep = run_study("bubble", [1, 2, 3], norms=("l2",))
+    rep = run_study(Study("bubble", [1, 2, 3], norms=("l2",)))
     hs = [r.h for r in rep.rows]
     assert hs[0] / hs[1] == 2.0
     assert hs[1] / hs[2] == 2.0
@@ -231,7 +286,7 @@ def test_reference_discretization_dropped_after_its_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(c0ip.study, "_solve_case_on_mesh", spy)
-    run_study("cosine-flux", [1, 2], reference_level=3, norms=("h",))
+    run_study(Study("cosine-flux", [1, 2], reference_level=3, norms=("h",)))
     assert len(discs) == 3
     assert discs[0]() is None
 

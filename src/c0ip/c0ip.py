@@ -16,14 +16,19 @@ spaces is verified empirically (see the property test suite).
 A ``Discretization`` is this method on one mesh: it owns the geometry, the
 dof map, sigma and the coupling sign, and keeps the stiffness, mass and
 norm matrices once assembled.  Every assembler takes it, and one function,
-``_assemble``, sums every matrix from element blocks.  Every element loop
-runs over chunks of ``_CHUNK`` edges or triangles (``chunks``,
-``edge_chunks``), so its temporaries stay cache-sized.
+``_assemble``, sums every matrix from element blocks, ``volume(cells, lap)``
+and ``edge(a, b, mean_weight)`` for each ordered pair of an edge's sides.
+Every element loop runs over chunks of ``_CHUNK`` edges or triangles
+(``chunks``, ``edge_chunks``), so its temporaries stay cache-sized.  Every
+edge integral (assembly, boundary load, compatibility check, exact errors)
+reads its points, reference coordinates and normals from the
+``EdgeSideGroup`` tables of ``edge_side_data``.
 """
 
 import inspect
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,11 +121,13 @@ class EdgeSideGroup:
     functions of the adjacent triangle at the edge quadrature points.
     """
 
-    edges: np.ndarray      # (n,) edge ids
     dofs: np.ndarray       # (n, 6) global dofs of the adjacent triangle
     dn: np.ndarray         # (n, 6, Q)
-    lap: np.ndarray        # (n, 6) physical Laplacians (constant)
+    lap: np.ndarray        # (n, 6) physical Laplacians (constant); None if not asked for
     length: np.ndarray     # (n,)
+    points: np.ndarray     # (n, Q, 2) physical quadrature points
+    ref: np.ndarray        # (n, Q, 2) the points in this side's reference triangle
+    normal: np.ndarray     # (n, 2) outward unit normal of this side
 
 
 def chunks(n):
@@ -160,34 +167,36 @@ def edge_sides(mesh):
     )
 
 
-def edge_side_data(disc, sides, lap, rule=_EDGE_RULE):
+def edge_side_data(disc, sides, lap=None, rule=_EDGE_RULE):
     """The ``EdgeSideGroup`` tables of a side group of ``edge_sides``, or of one chunk of it.
 
-    ``lap`` is the mesh's ``geom.laplacians()``.  Quadrature points run
-    along each edge from its lower to its higher vertex index, so the two
-    sides of an interior edge share physical points.  Every row depends on
-    its own edge only, so a slice of the sides gives the matching rows of
+    ``lap`` is the mesh's ``geom.laplacians()`` or None.  Quadrature points
+    run along each edge from its lower to its higher vertex index, so the
+    two sides of an interior edge share physical points.  Every row depends
+    on its own edge only, so a slice of the sides gives the matching rows of
     the whole tables.
     """
     mesh, geom = disc.mesh, disc.geom
     pts = edge_points(mesh, sides[0][0], rule)
     tables = []
     for edges, tri_ids, out_sign in sides:
-        gref = P2.gradients(geom.to_reference(tri_ids[:, None], pts))  # (n, Q, 6, 2)
-        nrm = out_sign * mesh.edge_normal[edges]                       # outward for this side
+        ref = geom.to_reference(tri_ids[:, None], pts)
+        nrm = out_sign * mesh.edge_normal[edges]
         tables.append(
             EdgeSideGroup(
-                edges=edges,
                 dofs=disc.dofmap.cell_dofs[tri_ids],
-                dn=_normal_derivatives(gref, geom.jac_inv[tri_ids], nrm),
-                lap=lap[tri_ids],
+                dn=_normal_derivatives(P2.gradients(ref), geom.jac_inv[tri_ids], nrm),
+                lap=None if lap is None else lap[tri_ids],
                 length=mesh.edge_length[edges],
+                points=pts,
+                ref=ref,
+                normal=nrm,
             )
         )
     return tuple(tables)
 
 
-def edge_chunks(disc, sides, lap, rule=_EDGE_RULE):
+def edge_chunks(disc, sides, lap=None, rule=_EDGE_RULE):
     """The tables of the side group ``sides``, ``_CHUNK`` edges at a time.
 
     Yields (rows, tables): the chunk's slice of the group's edges and its
@@ -220,20 +229,15 @@ def _normal_derivatives(gref, jinv, nrm):
     return dx.transpose(0, 2, 1)
 
 
-def _side_pairs(sides):
-    """(side a, side b, mean weight) for every pair of sides of a group sharing an edge."""
-    k = len(sides)
-    return [(a, b, 1.0 / k) for a in range(k) for b in range(k)]
-
-
 def _assemble(disc, volume=None, edge=None):
     """One CSR matrix summed from element blocks, written chunk by chunk into one COO.
 
     ``volume(cells, lap)`` gives the (n, 6, 6) blocks of a chunk of
     triangles on their own dofs, ``lap`` being the mesh's Laplacians.
-    ``edge(tables, pairs)`` yields, for a chunk of a side group's tables,
-    one block per ``_side_pairs`` entry (a, b, mean weight), in that order:
-    entry (e, i, j) couples dof i of side a with dof j of side b on edge e.
+    ``edge(a, b, mean_weight)`` gives the blocks of the side tables ``a``
+    and ``b`` of one chunk of edges, for each ordered pair of a group's
+    sides, mean_weight being 1 / (sides per edge): entry (e, i, j) couples
+    dof i of side a with dof j of side b on edge e.
     """
     rows, cols, vals = _coo_triplets(disc, volume, edge)
     n = disc.dofmap.n_dofs
@@ -275,11 +279,11 @@ def _coo_triplets(disc, volume, edge):
             write(_BLOCK * cells.start, cell_dofs[cells], cell_dofs[cells], volume(cells, lap))
         offset = _BLOCK * mesh.n_triangles
     for sides in groups:
-        n, pairs = len(sides[0][0]), _side_pairs(sides)
+        n, k = len(sides[0][0]), len(sides)
         for chunk, tables in edge_chunks(disc, sides, lap):
-            for k, ((a, b, _), blocks) in enumerate(zip(pairs, edge(tables, pairs))):
-                write(offset + _BLOCK * (k * n + chunk.start), tables[a].dofs, tables[b].dofs, blocks)
-        offset += _BLOCK * n * len(pairs)
+            for piece, (a, b) in enumerate(product(tables, repeat=2)):
+                write(offset + _BLOCK * (piece * n + chunk.start), a.dofs, b.dofs, edge(a, b, 1.0 / k))
+        offset += _BLOCK * n * k * k
     return rows, cols, vals
 
 
@@ -292,10 +296,11 @@ def _penalty(disc, a, b):
     return disc.sigma * np.einsum("q,eiq,ejq->eij", _EDGE_RULE.weights, a.dn, b.dn)
 
 
-def _coupling(disc, a, b, jint_a, jint_b, mean_weight):
-    # |e| * [ mean(lap_a) x int(jump_b) + int(jump_a) x mean(lap_b) ]
+def _coupling(disc, a, b, mean_weight):
+    # |e| * [ mean(lap_a) x int(jump_b) + int(jump_a) x mean(lap_b) ], int(jump) = int_e dv/dn
+    w = _EDGE_RULE.weights
     return float(disc.consistency_sign) * mean_weight * a.length[:, None, None] * (
-        np.einsum("ei,ej->eij", a.lap, jint_b) + np.einsum("ei,ej->eij", jint_a, b.lap)
+        np.einsum("ei,ej->eij", a.lap, b.dn @ w) + np.einsum("ei,ej->eij", a.dn @ w, b.lap)
     )
 
 
@@ -307,35 +312,25 @@ def assemble_volume_norm_matrix(disc):
 def assemble_a_h(disc):
     """The interior penalty bilinear form as a sparse symmetric matrix."""
 
-    def edge_blocks(tables, pairs):
-        # each side's jump integral int_e dv/dn, once per chunk
-        jint = [t.dn @ _EDGE_RULE.weights for t in tables]
-        for a, b, mw in pairs:
-            ta, tb = tables[a], tables[b]
-            yield _penalty(disc, ta, tb) + _coupling(disc, ta, tb, jint[a], jint[b], mw)
+    def edge(a, b, mw):
+        return _penalty(disc, a, b) + _coupling(disc, a, b, mw)
 
-    return _assemble(disc, volume=_volume_blocks(disc), edge=edge_blocks)
+    return _assemble(disc, volume=_volume_blocks(disc), edge=edge)
 
 
 def assemble_penalty_matrix(disc):
     """Only the sigma/|e| jump penalty part (the edge part of the h-norm)."""
-
-    def edge_blocks(tables, pairs):
-        return (_penalty(disc, tables[a], tables[b]) for a, b, _ in pairs)
-
-    return _assemble(disc, edge=edge_blocks)
+    return _assemble(disc, edge=lambda a, b, mw: _penalty(disc, a, b))
 
 
 def assemble_mean_norm_matrix(disc):
     """Matrix of sum_e |e| || mean(Lap v) ||_e^2 (edge part of the Q_h norm)."""
 
-    def edge_blocks(tables, pairs):
+    def edge(a, b, mw):
         # the mean is constant along the edge: |e| * int_e mean*mean = |e|^2 * product
-        for a, b, mw in pairs:
-            ta, tb = tables[a], tables[b]
-            yield mw * mw * np.einsum("e,ei,ej->eij", ta.length**2, ta.lap, tb.lap)
+        return mw * mw * np.einsum("e,ei,ej->eij", a.length**2, a.lap, b.lap)
 
-    return _assemble(disc, edge=edge_blocks)
+    return _assemble(disc, edge=edge)
 
 
 def assemble_mass(disc):
@@ -358,16 +353,16 @@ def _wants_normal(g2):
         return False
 
 
-def boundary_values(g2, mesh, edges, pts):
-    """Flux ``g2`` at points ``pts`` (n, Q, 2) on boundary ``edges``.
+def boundary_values(g2, table):
+    """Flux ``g2`` at the points of a boundary side ``table``; (n, Q).
 
-    A flux of four arguments ``g2(x, y, nx, ny)`` also receives the outward
-    unit normal of each edge.
+    A flux of four arguments ``g2(x, y, nx, ny)`` also receives the table's
+    outward unit normals.
     """
+    pts = table.points
     normal = ()
     if _wants_normal(g2):
-        n = mesh.edge_normal[edges]
-        normal = (n[:, None, 0], n[:, None, 1])
+        normal = (table.normal[:, None, 0], table.normal[:, None, 1])
     return _field_values(g2, pts[..., 0], pts[..., 1], *normal)
 
 
@@ -389,19 +384,12 @@ def assemble_boundary_load(disc, g2):
 
     ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
     """
-    mesh = disc.mesh
-    boundary = np.flatnonzero(mesh.is_boundary_edge)
     b = np.zeros(disc.dofmap.n_dofs)
-    for rows in chunks(len(boundary)):
-        edges = boundary[rows]
-        pts = edge_points(mesh, edges, _EDGE_RULE)
-        gv = boundary_values(g2, mesh, edges, pts)
-        tri_ids = mesh.edge_t_minus[edges]
-        vals = P2.values(disc.geom.to_reference(tri_ids[:, None], pts))  # (n, Q, 6)
-        contrib = mesh.edge_length[edges][:, None] * np.einsum(
-            "q,eq,eqb->eb", _EDGE_RULE.weights, gv, vals
+    for _, (side,) in edge_chunks(disc, edge_sides(disc.mesh)[0]):
+        contrib = side.length[:, None] * np.einsum(
+            "q,eq,eqb->eb", _EDGE_RULE.weights, boundary_values(g2, side), P2.values(side.ref)
         )
-        np.add.at(b, disc.dofmap.cell_dofs[tri_ids], contrib)
+        np.add.at(b, side.dofs, contrib)
     return b
 
 

@@ -23,7 +23,8 @@ from .c0ip import (
     assemble_boundary_load,
     assemble_load,
     boundary_values,
-    edge_points,
+    edge_chunks,
+    edge_sides,
 )
 from .fem import QuadratureRule
 from .linalg import cholesky_solve
@@ -54,20 +55,24 @@ def default_pin_corner(mesh):
     return int(corners[order[0]])
 
 
-def _boundary_integral(mesh, g2, rule):
-    edges = np.flatnonzero(mesh.is_boundary_edge)
-    gv = boundary_values(g2, mesh, edges, edge_points(mesh, edges, rule))
-    line = mesh.edge_length[edges] @ (gv @ rule.weights)
-    l2sq = mesh.edge_length[edges] @ (gv**2 @ rule.weights)
-    return float(line), float(np.sqrt(max(l2sq, 0.0)))
+def _integral_and_norm(measure, values, rule):
+    """Integral and L2 norm from the quadrature ``values`` (n, Q) on n cells of ``measure``."""
+    l2sq = measure @ (values**2 @ rule.weights)
+    return float(measure @ (values @ rule.weights)), float(np.sqrt(max(l2sq, 0.0)))
+
+
+def _boundary_integral(disc, g2, rule):
+    # reduced over one full-length array, so the values do not depend on the chunk size
+    sides = edge_sides(disc.mesh)[0]
+    gv = np.empty((len(sides[0][0]), len(rule.weights)))
+    for rows, (side,) in edge_chunks(disc, sides, rule=rule):
+        gv[rows] = boundary_values(g2, side)
+    return _integral_and_norm(disc.mesh.edge_length[sides[0][0]], gv, rule)
 
 
 def _volume_integral(geom, g1, rule):
     pts = geom.to_physical(rule.points)
-    gv = _field_values(g1, pts[..., 0], pts[..., 1])
-    vol = float(2.0 * geom.area @ (gv @ rule.weights))
-    l2sq = float(2.0 * geom.area @ (gv**2 @ rule.weights))
-    return vol, float(np.sqrt(max(l2sq, 0.0)))
+    return _integral_and_norm(2.0 * geom.area, _field_values(g1, pts[..., 0], pts[..., 1]), rule)
 
 
 def check_compatibility(disc, g1, g2):
@@ -78,7 +83,7 @@ def check_compatibility(disc, g1, g2):
     ``_COMPAT_WARN`` times the scale it warns.
     """
     vol, g1_norm = _volume_integral(disc.geom, g1, _CHECK_TRI_RULE)
-    line, g2_norm = _boundary_integral(disc.mesh, g2, _CHECK_EDGE_RULE)
+    line, g2_norm = _boundary_integral(disc, g2, _CHECK_EDGE_RULE)
     defect = vol - line
     scale = g1_norm + g2_norm + 1.0
     if abs(defect) > _COMPAT_HARD * scale:

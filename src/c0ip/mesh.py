@@ -30,7 +30,7 @@ class MeshError(ValueError):
     """Invalid polygon or triangulation input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """Strictly convex polygon given by counter-clockwise vertices."""
 
@@ -54,6 +54,14 @@ class Polygon:
             raise MeshError(
                 f"polygon is not strictly convex / counter-clockwise (turn at vertex {(bad + 1) % n})"
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return self.name == other.name and np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self):
+        return hash((self.name, self.vertices.tobytes()))
 
     @property
     def area(self):

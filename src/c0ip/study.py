@@ -23,7 +23,6 @@ from .c0ip import (
     chunks,
     combine_norms,
     edge_chunks,
-    edge_points,
     edge_sides,
     matrix_norms,
 )
@@ -231,9 +230,10 @@ class Study:
 
     def __post_init__(self):
         case = get_case(self.case) if isinstance(self.case, str) else self.case
-        levels = tuple(sorted(int(l) for l in self.levels))
-        _require(levels and levels[0] >= 1, "levels",
-                 "levels must be a nonempty list of integers >= 1")
+        levels = tuple(self.levels)
+        _require(levels and all(isinstance(l, (int, np.integer)) and l >= 1 for l in levels),
+                 "levels", "levels must be a nonempty list of integers >= 1")
+        levels = tuple(sorted(int(l) for l in levels))
         _require(len(set(levels)) == len(levels), "levels",
                  f"levels must not repeat, got {list(levels)}")
         _require(self.sigma >= 1.0, "sigma", "sigma must be >= 1")
@@ -266,6 +266,8 @@ class Study:
                      "the default is the finest study level + 2, so choose coarser study "
                      "levels or an explicit reference level")
         else:
+            _require(isinstance(ref, (int, np.integer)), "reference-level",
+                     f"reference-level must be an integer, got {ref!r}")
             _require(levels[-1] < ref <= MAX_REFERENCE_LEVEL, "reference-level",
                      "reference-level must exceed the finest level and be at most "
                      f"{MAX_REFERENCE_LEVEL}, got {ref}")
@@ -338,24 +340,17 @@ def _edge_error_sq(v, exact, disc, lap, means):
         jump_e = np.empty((n, len(w)))
         mean_e = np.empty((n, len(w))) if means else None
         for rows, tables in edge_chunks(disc, sides, lap, _EDGE_RULE):
-            edges = tables[0].edges
-            jump = np.einsum("eiq,ei->eq", tables[0].dn, v[tables[0].dofs])
-            for t in tables[1:]:
-                jump += np.einsum("eiq,ei->eq", t.dn, v[t.dofs])
-            if boundary or means:
-                pts = edge_points(mesh, edges, _EDGE_RULE)
+            pts = tables[0].points
+            jump = sum(np.einsum("eiq,ei->eq", t.dn, v[t.dofs]) for t in tables)
             if boundary:
-                gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
-                nrm = mesh.edge_normal[edges]
-                jump = jump - (
-                    np.broadcast_to(np.asarray(gx, dtype=float), pts.shape[:2]) * nrm[:, None, 0]
-                    + np.broadcast_to(np.asarray(gy, dtype=float), pts.shape[:2]) * nrm[:, None, 1]
-                )
+                gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), pts.shape[:2])
+                          for g in exact.gradient(pts[..., 0], pts[..., 1]))
+                nrm = tables[0].normal
+                jump = jump - (gx * nrm[:, None, 0] + gy * nrm[:, None, 1])
             np.square(jump, out=jump_e[rows])
             if means:
-                mean_disc = np.zeros(len(edges))
-                for t in tables:
-                    mean_disc += (1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
+                mean_disc = sum((1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
+                                for t in tables)
                 mean_ex = _field_values(exact.laplacian, pts[..., 0], pts[..., 1])
                 np.square(mean_disc[:, None] - mean_ex, out=mean_e[rows])
         jump_sq.append(float(np.sum(jump_e @ w)))

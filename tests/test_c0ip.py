@@ -423,6 +423,31 @@ def test_edge_tables_bit_identical_to_einsum(degree):
         assert np.array_equal(group.dn, dn)
 
 
+@pytest.mark.parametrize(
+    "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
+)
+def test_edge_tables_carry_points_reference_coordinates_and_outward_normals(domain):
+    poly = (
+        jittered_hexagon(np.random.default_rng(0))
+        if domain == "jittered-hexagon"
+        else built_in_polygon(domain)
+    )
+    hierarchy, rule = mesh_hierarchy(poly, 3), QuadratureRule.interval(9)
+    for level in (1, 3):
+        disc = Discretization(hierarchy[level])
+        mesh, geom = disc.mesh, disc.geom
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+        for sides in edge_sides(mesh):
+            for (edges, tri_ids, _), t in zip(sides, edge_side_data(disc, sides)):
+                assert np.array_equal(t.points, edge_points(mesh, edges, rule))
+                normal = mesh.edge_normal[edges]
+                assert np.all((t.normal == normal).all(axis=1) | (t.normal == -normal).all(axis=1))
+                midpoints = mesh.vertices[mesh.edge_vertices[edges]].mean(axis=1)
+                assert np.all(np.einsum("ei,ei->e", midpoints - centroids[tri_ids], t.normal) > 0)
+                mapped = geom.v0[tri_ids, None] + np.einsum("eij,eqj->eqi", geom.jac[tri_ids], t.ref)
+                np.testing.assert_allclose(mapped, t.points, rtol=0.0, atol=1e-14)
+
+
 def _int64_assemble(disc, pieces):
     """COO assembly from int64 dof indices, downcast by scipy: the reference for _assemble."""
     rows, cols, vals = [], [], []
@@ -493,9 +518,10 @@ def test_matrices_bit_identical_to_int64_assembly(domain, sign):
 
 
 def _whole_mesh_loads(disc, f, g2):
-    """Both load vectors from whole-mesh quadrature arrays: the reference for the chunked ones."""
-    from c0ip.c0ip import boundary_values
+    """Both load vectors from whole-mesh quadrature arrays: the reference for the chunked ones.
 
+    ``g2`` is a flux of four arguments, evaluated here on the outward normals.
+    """
     geom, mesh = disc.geom, disc.mesh
     tri, edge = QuadratureRule.triangle(6), QuadratureRule.interval(9)
     pts = geom.to_physical(tri.points)
@@ -507,9 +533,9 @@ def _whole_mesh_loads(disc, f, g2):
     pts = edge_points(mesh, edges, edge)
     tri_ids = mesh.edge_t_minus[edges]
     vals = P2.values(geom.to_reference(tri_ids[:, None], pts))
-    contrib = mesh.edge_length[edges][:, None] * np.einsum(
-        "q,eq,eqb->eb", edge.weights, boundary_values(g2, mesh, edges, pts), vals
-    )
+    n = mesh.edge_normal[edges]
+    gv = np.broadcast_to(g2(pts[..., 0], pts[..., 1], n[:, None, 0], n[:, None, 1]), pts.shape[:2])
+    contrib = mesh.edge_length[edges][:, None] * np.einsum("q,eq,eqb->eb", edge.weights, gv, vals)
     boundary_load = np.zeros(disc.dofmap.n_dofs)
     np.add.at(boundary_load, disc.dofmap.cell_dofs[tri_ids], contrib)
     return load, boundary_load

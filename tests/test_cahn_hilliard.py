@@ -60,6 +60,22 @@ def test_compatibility_cosine(square_hierarchy):
     assert abs(oracle_integral(square_hierarchy[2], cos_source)) < 1e-10
 
 
+@pytest.mark.parametrize("domain", ["hexagon", "pentagon150"])
+def test_compatibility_defect_independent_of_chunk_size(domain, monkeypatch):
+    """The check reduces its boundary values over one full-length array, so
+    chunks of 7 edges give the defect of the default chunks bit for bit."""
+    import c0ip.c0ip
+    from c0ip.study import _cos_flux
+
+    hierarchy = mesh_hierarchy(built_in_polygon(domain), 4)
+    for level in (3, 4):
+        disc = Discretization(hierarchy[level])
+        default = check_compatibility(disc, cos_source, _cos_flux)
+        monkeypatch.setattr(c0ip.c0ip, "_CHUNK", 7)
+        assert check_compatibility(disc, cos_source, _cos_flux) == default, level
+        monkeypatch.undo()
+
+
 def test_incompatible_data_rejected(square_hierarchy):
     with pytest.raises(CompatibilityError):
         check_compatibility(

@@ -41,6 +41,16 @@ def test_polygon_rejects_nonconvex_and_clockwise():
         Polygon(np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=float))
 
 
+def test_polygon_equality_and_hash():
+    hexagon = built_in_polygon("hexagon")
+    assert hexagon == built_in_polygon("hexagon")
+    assert hash(hexagon) == hash(built_in_polygon("hexagon"))
+    assert hexagon != built_in_polygon("pentagon150")
+    assert hexagon != Polygon(hexagon.vertices, name="other")
+    assert hexagon != hexagon.vertices.tolist()
+    assert len({hexagon, built_in_polygon("hexagon")}) == 1
+
+
 def test_unit_square_initial_counts():
     mesh = triangulate_initial(built_in_polygon("unit-square"))
     assert mesh.n_triangles == 2

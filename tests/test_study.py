@@ -165,6 +165,7 @@ def test_study_applies_each_default_once():
     assert study.alpha == 0.1
     assert study.norms == NORM_NAMES
     assert study.reference_level == 4
+    assert study == Study("reference", [1, 2])
     exact = Study("bubble", [1, 2])
     assert exact.alpha is None and exact.reference_level is None
     hexagon = built_in_polygon("hexagon")
@@ -179,6 +180,7 @@ def test_study_applies_each_default_once():
         ("bubble", [], {}, "levels", "nonempty list of integers >= 1"),
         ("bubble", [0, 1], {}, "levels", "nonempty list of integers >= 1"),
         ("bubble", [2, 2], {}, "levels", "levels must not repeat"),
+        ("bubble", (2.5, 3), {}, "levels", "nonempty list of integers >= 1"),
         ("bubble", [1], {"sigma": 0.5}, "sigma", "sigma must be >= 1"),
         ("bubble", [1], {"sigma": float("inf")}, "sigma", "sigma must be finite"),
         ("cosine", [1], {"alpha": 3.0}, "alpha", "alpha is for dirichlet-control only"),
@@ -192,6 +194,8 @@ def test_study_applies_each_default_once():
         ("zero", [1, 2], {"reference_level": 2}, "reference-level",
          "must exceed the finest level"),
         ("zero", [1, 2], {"reference_level": 9}, "reference-level", "be at most 8"),
+        ("cosine-flux", (1, 2), {"domain": "unit-square", "reference_level": 3.5},
+         "reference-level", r"reference-level must be an integer, got 3\.5"),
         ("zero", range(2, 8), {}, "levels", "reference level 9 exceeds the maximum of 8"),
         ("bubble", [1], {"domain": "hexagon"}, "domain",
          r"defined on \('unit-square',\), not 'hexagon'"),
@@ -316,7 +320,9 @@ def _whole_table_errors(v, exact, disc, norms):
     mesh, geom = disc.mesh, disc.geom
     w = rule.weights
     lap = geom.laplacians()
-    (bnd,), (im, ip) = (edge_side_data(disc, sides, lap, rule) for sides in edge_sides(mesh))
+    groups = edge_sides(mesh)
+    (bnd,), (im, ip) = (edge_side_data(disc, sides, lap, rule) for sides in groups)
+    bnd_edges, int_edges = groups[0][0][0], groups[1][0][0]
 
     pts = geom.to_physical(tri_rule.points)
     vh = v[disc.dofmap.cell_dofs] @ P2.values(tri_rule.points).T
@@ -326,9 +332,9 @@ def _whole_table_errors(v, exact, disc, norms):
     diff = exact.laplacian(pts[..., 0], pts[..., 1]) - lap_disc[:, None]
     vol = float(2.0 * geom.area @ (diff**2 @ tri_rule.weights))
     jump_b = np.einsum("eiq,ei->eq", bnd.dn, v[bnd.dofs])
-    pts_b = edge_points(mesh, bnd.edges, rule)
+    pts_b = edge_points(mesh, bnd_edges, rule)
     gx, gy = exact.gradient(pts_b[..., 0], pts_b[..., 1])
-    n = mesh.edge_normal[bnd.edges]
+    n = mesh.edge_normal[bnd_edges]
     jump_b = jump_b - (
         np.broadcast_to(np.asarray(gx, dtype=float), pts_b.shape[:2]) * n[:, None, 0]
         + np.broadcast_to(np.asarray(gy, dtype=float), pts_b.shape[:2]) * n[:, None, 1]
@@ -339,8 +345,7 @@ def _whole_table_errors(v, exact, disc, norms):
     hsq = vol + disc.sigma * (float(np.sum((jump_b**2) @ w)) + float(np.sum((jump_i**2) @ w)))
 
     meansq = 0.0
-    for sides, weights in (((bnd,), (1.0,)), ((im, ip), (0.5, 0.5))):
-        edges = sides[0].edges
+    for edges, sides, weights in ((bnd_edges, (bnd,), (1.0,)), (int_edges, (im, ip), (0.5, 0.5))):
         mean_disc = np.zeros(len(edges))
         for g, mw in zip(sides, weights):
             mean_disc += mw * np.einsum("ei,ei->e", g.lap, v[g.dofs])

@@ -16,13 +16,14 @@ spaces is verified empirically (see the property test suite).
 A ``Discretization`` is this method on one mesh: it owns the geometry, the
 dof map, sigma and the coupling sign, and keeps the stiffness, mass and
 norm matrices once assembled.  Every assembler takes it, and one function,
-``_assemble``, sums every matrix from element blocks, ``volume(cells, lap)``
-and ``edge(a, b, mean_weight)`` for each ordered pair of an edge's sides.
-Every element loop runs over chunks of ``_CHUNK`` edges or triangles
-(``chunks``, ``edge_chunks``), so its temporaries stay cache-sized.  Every
-edge integral (assembly, boundary load, compatibility check, exact errors)
-reads its points, reference coordinates and normals from the
-``EdgeSideGroup`` tables of ``edge_side_data``.
+``_assemble``, sums every matrix from element blocks, ``volume(cells)`` and
+``edge(a, b, mean_weight)`` for each ordered pair of an edge's sides.
+Every element loop runs over chunks of ``_CHUNK`` edges or triangles, so its
+temporaries stay cache-sized.  The loads, the compatibility check and the
+exact errors get their quadrature values from ``triangle_values`` and
+``edge_values``; only the assembly and the boundary load scatter chunk by
+chunk.  Every edge integral reads the ``EdgeSideGroup`` tables of
+``edge_side_data``, which carry their own Laplacians and jump integrals.
 """
 
 import inspect
@@ -52,7 +53,9 @@ __all__ = [
     "edge_side_data",
     "edge_sides",
     "edge_chunks",
+    "edge_values",
     "chunks",
+    "triangle_values",
 ]
 
 _TRI_RULE = QuadratureRule.triangle(6)
@@ -118,12 +121,14 @@ class EdgeSideGroup:
     """Per-side edge data for one side (boundary, interior-minus, interior-plus) of some edges.
 
     ``dn`` holds the outward normal derivative of the six local shape
-    functions of the adjacent triangle at the edge quadrature points.
+    functions of the adjacent triangle at the edge quadrature points, and
+    ``jump_integral`` its quadrature sum, the integral over the unit edge.
     """
 
     dofs: np.ndarray       # (n, 6) global dofs of the adjacent triangle
     dn: np.ndarray         # (n, 6, Q)
-    lap: np.ndarray        # (n, 6) physical Laplacians (constant); None if not asked for
+    jump_integral: np.ndarray  # (n, 6) dn @ rule.weights
+    lap: np.ndarray        # (n, 6) physical Laplacians (constant)
     length: np.ndarray     # (n,)
     points: np.ndarray     # (n, Q, 2) physical quadrature points
     ref: np.ndarray        # (n, Q, 2) the points in this side's reference triangle
@@ -167,14 +172,13 @@ def edge_sides(mesh):
     )
 
 
-def edge_side_data(disc, sides, lap=None, rule=_EDGE_RULE):
+def edge_side_data(disc, sides, rule=_EDGE_RULE):
     """The ``EdgeSideGroup`` tables of a side group of ``edge_sides``, or of one chunk of it.
 
-    ``lap`` is the mesh's ``geom.laplacians()`` or None.  Quadrature points
-    run along each edge from its lower to its higher vertex index, so the
-    two sides of an interior edge share physical points.  Every row depends
-    on its own edge only, so a slice of the sides gives the matching rows of
-    the whole tables.
+    Quadrature points run along each edge from its lower to its higher
+    vertex index, so the two sides of an interior edge share physical
+    points.  Every row depends on its own edge only, so a slice of the sides
+    gives the matching rows of the whole tables.
     """
     mesh, geom = disc.mesh, disc.geom
     pts = edge_points(mesh, sides[0][0], rule)
@@ -182,11 +186,13 @@ def edge_side_data(disc, sides, lap=None, rule=_EDGE_RULE):
     for edges, tri_ids, out_sign in sides:
         ref = geom.to_reference(tri_ids[:, None], pts)
         nrm = out_sign * mesh.edge_normal[edges]
+        dn = _normal_derivatives(P2.gradients(ref), geom.jac_inv[tri_ids], nrm)
         tables.append(
             EdgeSideGroup(
                 dofs=disc.dofmap.cell_dofs[tri_ids],
-                dn=_normal_derivatives(P2.gradients(ref), geom.jac_inv[tri_ids], nrm),
-                lap=None if lap is None else lap[tri_ids],
+                dn=dn,
+                jump_integral=dn @ rule.weights,
+                lap=geom.laplacians(tri_ids),
                 length=mesh.edge_length[edges],
                 points=pts,
                 ref=ref,
@@ -196,14 +202,43 @@ def edge_side_data(disc, sides, lap=None, rule=_EDGE_RULE):
     return tuple(tables)
 
 
-def edge_chunks(disc, sides, lap=None, rule=_EDGE_RULE):
+def edge_chunks(disc, sides, rule=_EDGE_RULE):
     """The tables of the side group ``sides``, ``_CHUNK`` edges at a time.
 
     Yields (rows, tables): the chunk's slice of the group's edges and its
     ``edge_side_data``.  No table covers more than one chunk.
     """
     for rows in chunks(len(sides[0][0])):
-        yield rows, edge_side_data(disc, [(e[rows], t[rows], s) for e, t, s in sides], lap, rule)
+        yield rows, edge_side_data(disc, [(e[rows], t[rows], s) for e, t, s in sides], rule)
+
+
+def triangle_values(disc, rule, *fns):
+    """Each ``fn(cells, x, y)`` at the points (x, y) of ``rule``, one chunk of triangles at a time.
+
+    Returns one full-length (nt, Q) array per fn.  Reduce only full-length
+    arrays: BLAS rounds each row of a matrix-vector product by the row's
+    position in its block, so only their sums are independent of ``_CHUNK``.
+    """
+    geom, nt = disc.geom, disc.mesh.n_triangles
+    out = [np.empty((nt, len(rule.weights))) for _ in fns]
+    for cells in chunks(nt):
+        pts = geom.to_physical(rule.points, cells)
+        for values, fn in zip(out, fns):
+            values[cells] = fn(cells, pts[..., 0], pts[..., 1])
+    return out
+
+
+def edge_values(disc, sides, rule, *fns):
+    """Each ``fn(tables)`` on the ``edge_chunks`` of the side group ``sides``.
+
+    Returns one full-length (n, Q) array per fn over the group's n edges;
+    reduce them as those of ``triangle_values``.
+    """
+    out = [np.empty((len(sides[0][0]), len(rule.weights))) for _ in fns]
+    for rows, tables in edge_chunks(disc, sides, rule):
+        for values, fn in zip(out, fns):
+            values[rows] = fn(tables)
+    return out
 
 
 def _normal_derivatives(gref, jinv, nrm):
@@ -232,12 +267,11 @@ def _normal_derivatives(gref, jinv, nrm):
 def _assemble(disc, volume=None, edge=None):
     """One CSR matrix summed from element blocks, written chunk by chunk into one COO.
 
-    ``volume(cells, lap)`` gives the (n, 6, 6) blocks of a chunk of
-    triangles on their own dofs, ``lap`` being the mesh's Laplacians.
-    ``edge(a, b, mean_weight)`` gives the blocks of the side tables ``a``
-    and ``b`` of one chunk of edges, for each ordered pair of a group's
-    sides, mean_weight being 1 / (sides per edge): entry (e, i, j) couples
-    dof i of side a with dof j of side b on edge e.
+    ``volume(cells)`` gives the (n, 6, 6) blocks of a chunk of triangles
+    on their own dofs.  ``edge(a, b, mean_weight)`` gives the blocks of the
+    side tables ``a`` and ``b`` of one chunk of edges, for each ordered pair
+    of a group's sides, mean_weight being 1 / (sides per edge): entry
+    (e, i, j) couples dof i of side a with dof j of side b on edge e.
     """
     rows, cols, vals = _coo_triplets(disc, volume, edge)
     n = disc.dofmap.n_dofs
@@ -253,8 +287,9 @@ def _coo_triplets(disc, volume, edge):
     volume blocks, then each side pair of the boundary group, then each of
     the interior group, and every chunk writes straight into its rows of its
     piece.  The entry order, and with it scipy's duplicate sums, is that of
-    whole pieces written in turn, yet no table or block covers more than
-    one chunk of edges or triangles, and none is alive once this returns.
+    whole pieces written in turn, yet no table, block or Laplacian array
+    covers more than one chunk of edges or triangles, and none is alive
+    once this returns.
     """
     mesh, cell_dofs = disc.mesh, disc.dofmap.cell_dofs
     groups = edge_sides(mesh) if edge is not None else ()
@@ -272,24 +307,23 @@ def _coo_triplets(disc, volume, edge):
         cols[start:stop].reshape(blocks.shape)[...] = col_dofs[:, None, :]
         vals[start:stop].reshape(blocks.shape)[...] = blocks
 
-    lap = disc.geom.laplacians()
     offset = 0
     if volume is not None:
         for cells in chunks(mesh.n_triangles):
-            write(_BLOCK * cells.start, cell_dofs[cells], cell_dofs[cells], volume(cells, lap))
+            write(_BLOCK * cells.start, cell_dofs[cells], cell_dofs[cells], volume(cells))
         offset = _BLOCK * mesh.n_triangles
     for sides in groups:
         n, k = len(sides[0][0]), len(sides)
-        for chunk, tables in edge_chunks(disc, sides, lap):
+        for chunk, tables in edge_chunks(disc, sides):
             for piece, (a, b) in enumerate(product(tables, repeat=2)):
                 write(offset + _BLOCK * (piece * n + chunk.start), a.dofs, b.dofs, edge(a, b, 1.0 / k))
         offset += _BLOCK * n * k * k
     return rows, cols, vals
 
 
-def _volume_blocks(disc):
-    area = disc.geom.area
-    return lambda cells, lap: np.einsum("t,ti,tj->tij", area[cells], lap[cells], lap[cells])
+def _volume_blocks(disc, cells):
+    lap = disc.geom.laplacians(cells)
+    return np.einsum("t,ti,tj->tij", disc.geom.area[cells], lap, lap)
 
 
 def _penalty(disc, a, b):
@@ -298,15 +332,15 @@ def _penalty(disc, a, b):
 
 def _coupling(disc, a, b, mean_weight):
     # |e| * [ mean(lap_a) x int(jump_b) + int(jump_a) x mean(lap_b) ], int(jump) = int_e dv/dn
-    w = _EDGE_RULE.weights
     return float(disc.consistency_sign) * mean_weight * a.length[:, None, None] * (
-        np.einsum("ei,ej->eij", a.lap, b.dn @ w) + np.einsum("ei,ej->eij", a.dn @ w, b.lap)
+        np.einsum("ei,ej->eij", a.lap, b.jump_integral)
+        + np.einsum("ei,ej->eij", a.jump_integral, b.lap)
     )
 
 
 def assemble_volume_norm_matrix(disc):
     """Matrix of the broken Laplacian product sum_T (Lap v, Lap w)_T."""
-    return _assemble(disc, volume=_volume_blocks(disc))
+    return _assemble(disc, volume=lambda cells: _volume_blocks(disc, cells))
 
 
 def assemble_a_h(disc):
@@ -315,7 +349,7 @@ def assemble_a_h(disc):
     def edge(a, b, mw):
         return _penalty(disc, a, b) + _coupling(disc, a, b, mw)
 
-    return _assemble(disc, volume=_volume_blocks(disc), edge=edge)
+    return _assemble(disc, volume=lambda cells: _volume_blocks(disc, cells), edge=edge)
 
 
 def assemble_penalty_matrix(disc):
@@ -338,12 +372,7 @@ def assemble_mass(disc):
     vals = P2.values(_TRI_RULE.points)                  # (Q, 6)
     mref = np.einsum("q,qi,qj->ij", _TRI_RULE.weights, vals, vals)
     area = disc.geom.area
-    return _assemble(disc, volume=lambda cells, lap: 2.0 * area[cells, None, None] * mref)
-
-
-def _field_values(f, x, y, *normal):
-    v = np.asarray(f(x, y, *normal), dtype=float)
-    return np.broadcast_to(v, x.shape)
+    return _assemble(disc, volume=lambda cells: 2.0 * area[cells, None, None] * mref)
 
 
 def _wants_normal(g2):
@@ -363,19 +392,18 @@ def boundary_values(g2, table):
     normal = ()
     if _wants_normal(g2):
         normal = (table.normal[:, None, 0], table.normal[:, None, 1])
-    return _field_values(g2, pts[..., 0], pts[..., 1], *normal)
+    return np.broadcast_to(np.asarray(g2(pts[..., 0], pts[..., 1], *normal), dtype=float),
+                           pts.shape[:2])
 
 
 def assemble_load(disc, f):
     """Load vector b_i = int_Omega f N_i by triangle quadrature."""
-    geom, cell_dofs = disc.geom, disc.dofmap.cell_dofs
-    vals = P2.values(_TRI_RULE.points)
+    (fv,) = triangle_values(disc, _TRI_RULE, lambda cells, x, y: f(x, y))
+    contrib = 2.0 * disc.geom.area[:, None] * np.einsum(
+        "q,tq,qb->tb", _TRI_RULE.weights, fv, P2.values(_TRI_RULE.points)
+    )
     b = np.zeros(disc.dofmap.n_dofs)
-    for cells in chunks(disc.mesh.n_triangles):
-        pts = geom.to_physical(_TRI_RULE.points, cells)    # (n, Q, 2)
-        fv = _field_values(f, pts[..., 0], pts[..., 1])
-        contrib = 2.0 * geom.area[cells, None] * np.einsum("q,tq,qb->tb", _TRI_RULE.weights, fv, vals)
-        np.add.at(b, cell_dofs[cells], contrib)
+    np.add.at(b, disc.dofmap.cell_dofs, contrib)
     return b
 
 

@@ -7,9 +7,10 @@ data must satisfy the compatibility condition
 
     int_Omega g1 dx = int_{boundary} g2 ds,
 
-which ``check_compatibility`` verifies with high-order quadrature; a study
-checks once, on its last study level.  A problem is posed on a
-``Discretization``, whose stiffness matrix the solve factors.
+which ``check_compatibility`` verifies with high-order quadrature, one chunk
+of triangles or boundary edges at a time (``triangle_values``,
+``edge_values``); a study checks once, on its last study level.  A problem
+is posed on a ``Discretization``, whose stiffness matrix the solve factors.
 The pinned corner is eliminated inside the factor (``cholesky_solve`` with
 that dof fixed), which returns the full-length solution, zero at the corner.
 """
@@ -19,12 +20,12 @@ import warnings
 import numpy as np
 
 from .c0ip import (
-    _field_values,
     assemble_boundary_load,
     assemble_load,
     boundary_values,
-    edge_chunks,
     edge_sides,
+    edge_values,
+    triangle_values,
 )
 from .fem import QuadratureRule
 from .linalg import cholesky_solve
@@ -61,20 +62,6 @@ def _integral_and_norm(measure, values, rule):
     return float(measure @ (values @ rule.weights)), float(np.sqrt(max(l2sq, 0.0)))
 
 
-def _boundary_integral(disc, g2, rule):
-    # reduced over one full-length array, so the values do not depend on the chunk size
-    sides = edge_sides(disc.mesh)[0]
-    gv = np.empty((len(sides[0][0]), len(rule.weights)))
-    for rows, (side,) in edge_chunks(disc, sides, rule=rule):
-        gv[rows] = boundary_values(g2, side)
-    return _integral_and_norm(disc.mesh.edge_length[sides[0][0]], gv, rule)
-
-
-def _volume_integral(geom, g1, rule):
-    pts = geom.to_physical(rule.points)
-    return _integral_and_norm(2.0 * geom.area, _field_values(g1, pts[..., 0], pts[..., 1]), rule)
-
-
 def check_compatibility(disc, g1, g2):
     """Defect int g1 dx - int g2 ds on ``disc``'s mesh; raises if it is not negligible.
 
@@ -82,8 +69,13 @@ def check_compatibility(disc, g1, g2):
     ``_COMPAT_HARD`` times the scale it raises ``CompatibilityError``, above
     ``_COMPAT_WARN`` times the scale it warns.
     """
-    vol, g1_norm = _volume_integral(disc.geom, g1, _CHECK_TRI_RULE)
-    line, g2_norm = _boundary_integral(disc, g2, _CHECK_EDGE_RULE)
+    boundary = edge_sides(disc.mesh)[0]
+    (g1_values,) = triangle_values(disc, _CHECK_TRI_RULE, lambda cells, x, y: g1(x, y))
+    (g2_values,) = edge_values(disc, boundary, _CHECK_EDGE_RULE,
+                               lambda tables: boundary_values(g2, tables[0]))
+    vol, g1_norm = _integral_and_norm(2.0 * disc.geom.area, g1_values, _CHECK_TRI_RULE)
+    line, g2_norm = _integral_and_norm(disc.mesh.edge_length[boundary[0][0]], g2_values,
+                                       _CHECK_EDGE_RULE)
     defect = vol - line
     scale = g1_norm + g2_norm + 1.0
     if abs(defect) > _COMPAT_HARD * scale:

@@ -99,7 +99,11 @@ def parse_config(text):
         study = Study(case, **given)
     except StudyError as exc:
         raise ConfigError(f"{linenos[exc.key]}: {exc}") from None
-    return study, values.get("output", f"{problem}.csv")
+    output = values.get("output", f"{problem}.csv")
+    folder = Path(output).parent
+    if not folder.is_dir():
+        raise ConfigError(f"{linenos['output']}: output directory {str(folder)!r} does not exist")
+    return study, output
 
 
 def build_identifier():

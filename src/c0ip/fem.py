@@ -175,10 +175,11 @@ class TriangleGeometry:
             out[..., k] = jinv[..., k, 0] * d[..., 0] + jinv[..., k, 1] * d[..., 1]
         return out
 
-    def laplacians(self):
-        """Physical Laplacian of each shape function; constant, (nt, 6)."""
+    def laplacians(self, cells=slice(None)):
+        """Physical Laplacian of each shape function in ``cells`` (default all); constant, (n, 6)."""
         # hess_phys = Jinv^T Href Jinv; trace via einsum
-        return np.einsum("tmk,bmn,tnk->tb", self.jac_inv, P2.hessians, self.jac_inv)
+        jinv = self.jac_inv[cells]
+        return np.einsum("tmk,bmn,tnk->tb", jinv, P2.hessians, jinv)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,9 @@ class Polygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise MeshError("polygon needs at least 3 planar vertices")
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if len(bad):
+            raise MeshError(f"polygon vertex {bad[0]} is not finite: {v[bad[0]].tolist()}")
         object.__setattr__(self, "vertices", v)
         n = len(v)
         for i in range(n):

@@ -18,13 +18,12 @@ from . import control as ctl
 from .c0ip import (
     NORM_NAMES,
     Discretization,
-    _field_values,
     assemble_load,
-    chunks,
     combine_norms,
-    edge_chunks,
     edge_sides,
+    edge_values,
     matrix_norms,
+    triangle_values,
 )
 from .fem import P2, QuadratureRule
 from .linalg import cholesky_solve
@@ -294,69 +293,37 @@ class Study:
 # error norms against exact fields
 # ---------------------------------------------------------------------------
 
-def _volume_error_sq(disc, integrands):
-    """Squared L2 norm over the mesh of each integrand, by triangle quadrature.
-
-    ``integrand(cells, x, y)`` gives the integrand at the physical
-    quadrature points (x, y) of the triangles ``cells``; one set of points
-    serves every integrand.  Integrands are evaluated one chunk of triangles
-    at a time, and their squares reduced over full-length arrays: BLAS
-    rounds each row of a matrix-vector product by the row's position in
-    its block, so the values are those of whole arrays.
-    """
-    geom = disc.geom
-    sq = [np.empty((disc.mesh.n_triangles, len(_TRI_RULE.weights))) for _ in integrands]
-    for cells in chunks(disc.mesh.n_triangles):
-        pts = geom.to_physical(_TRI_RULE.points, cells)
-        for out, integrand in zip(sq, integrands):
-            np.square(integrand(cells, pts[..., 0], pts[..., 1]), out=out[cells])
-    return [float(2.0 * geom.area @ (s @ _TRI_RULE.weights)) for s in sq]
-
-
-def _value_error(v, exact_value, disc):
-    basis = P2.values(_TRI_RULE.points).T
-    cell_dofs = disc.dofmap.cell_dofs
-    return lambda cells, x, y: v[cell_dofs[cells]] @ basis - exact_value(x, y)
-
-
-def _laplacian_error(v, exact_laplacian, disc, lap):
-    lap_disc = np.einsum("tb,tb->t", lap, v[disc.dofmap.cell_dofs])
-    return lambda cells, x, y: exact_laplacian(x, y) - lap_disc[cells, None]
-
-
-def _edge_error_sq(v, exact, disc, lap, means):
+def _edge_error_sq(v, exact, disc, means):
     """Edge parts of the squared h-norm and Q_h-norm errors.
 
     Returns the squared normal-derivative jumps of v_h minus the exact field
     (its normal derivative on boundary edges) and, if ``means``, the
-    |e|-weighted squared errors of the Laplacian means (else None).  The
-    edge tables and integrands are built one chunk of edges at a time, and
-    the squares reduced over full-length arrays as in ``_volume_error_sq``.
+    |e|-weighted squared errors of the Laplacian means (else None).  Both
+    integrands are evaluated on one pass of each group's tables.
     """
     mesh, w = disc.mesh, _EDGE_RULE.weights
-    jump_sq, mean_sq = [], 0.0 if means else None
+
+    def jump(tables):
+        jump = sum(np.einsum("eiq,ei->eq", t.dn, v[t.dofs]) for t in tables)
+        if len(tables) == 1:  # a boundary edge: the exact field's normal derivative
+            pts, nrm = tables[0].points, tables[0].normal
+            gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
+            jump = jump - (gx * nrm[:, None, 0] + gy * nrm[:, None, 1])
+        return jump**2
+
+    def mean(tables):
+        pts = tables[0].points
+        mean_disc = sum((1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
+                        for t in tables)
+        return (mean_disc[:, None] - exact.laplacian(pts[..., 0], pts[..., 1])) ** 2
+
+    jump_sq, mean_sq = 0.0, 0.0 if means else None
     for sides in edge_sides(mesh):
-        n, boundary = len(sides[0][0]), len(sides) == 1
-        jump_e = np.empty((n, len(w)))
-        mean_e = np.empty((n, len(w))) if means else None
-        for rows, tables in edge_chunks(disc, sides, lap, _EDGE_RULE):
-            pts = tables[0].points
-            jump = sum(np.einsum("eiq,ei->eq", t.dn, v[t.dofs]) for t in tables)
-            if boundary:
-                gx, gy = (np.broadcast_to(np.asarray(g, dtype=float), pts.shape[:2])
-                          for g in exact.gradient(pts[..., 0], pts[..., 1]))
-                nrm = tables[0].normal
-                jump = jump - (gx * nrm[:, None, 0] + gy * nrm[:, None, 1])
-            np.square(jump, out=jump_e[rows])
-            if means:
-                mean_disc = sum((1.0 / len(tables)) * np.einsum("ei,ei->e", t.lap, v[t.dofs])
-                                for t in tables)
-                mean_ex = _field_values(exact.laplacian, pts[..., 0], pts[..., 1])
-                np.square(mean_disc[:, None] - mean_ex, out=mean_e[rows])
-        jump_sq.append(float(np.sum(jump_e @ w)))
+        jump_e, *mean_e = edge_values(disc, sides, _EDGE_RULE, jump, *([mean] if means else []))
+        jump_sq += float(np.sum(jump_e @ w))
         if means:
-            mean_sq += float(mesh.edge_length[sides[0][0]] ** 2 @ (mean_e @ w))
-    return jump_sq[0] + jump_sq[1], mean_sq
+            mean_sq += float(mesh.edge_length[sides[0][0]] ** 2 @ (mean_e[0] @ w))
+    return jump_sq, mean_sq
 
 
 def _exact_errors(v, exact, disc, norms):
@@ -364,17 +331,21 @@ def _exact_errors(v, exact, disc, norms):
     l2sq = hsq = meansq = None
     want_l2 = "l2" in norms or "energy" in norms
     want_h = any(n in norms for n in ("h", "energy", "qh"))
-    integrands, lap = [], disc.geom.laplacians()
+    geom, coeffs = disc.geom, v[disc.dofmap.cell_dofs]
+    basis = P2.values(_TRI_RULE.points).T
+    integrands = []
     if want_l2:
-        integrands.append(_value_error(v, exact.value, disc))
+        integrands.append(lambda cells, x, y: (coeffs[cells] @ basis - exact.value(x, y)) ** 2)
     if want_h:
-        integrands.append(_laplacian_error(v, exact.laplacian, disc, lap))
-    vol = _volume_error_sq(disc, integrands)
+        integrands.append(lambda cells, x, y: (exact.laplacian(x, y) - np.einsum(
+            "tb,tb->t", geom.laplacians(cells), coeffs[cells])[:, None]) ** 2)
+    vol = [float(2.0 * geom.area @ (sq @ _TRI_RULE.weights))
+           for sq in triangle_values(disc, _TRI_RULE, *integrands)]
     if want_l2:
         # squaring is exact to undo: sqrt(x**2) == x in binary floating point
         l2sq = float(np.sqrt(vol.pop(0))) ** 2
     if want_h:
-        jump_sq, meansq = _edge_error_sq(v, exact, disc, lap, "qh" in norms)
+        jump_sq, meansq = _edge_error_sq(v, exact, disc, "qh" in norms)
         hsq = vol[0] + disc.sigma * jump_sq
     return combine_norms(norms, l2sq, hsq, meansq)
 

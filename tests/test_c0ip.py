@@ -12,6 +12,7 @@ from c0ip.c0ip import (
     assemble_mass,
     assemble_mean_norm_matrix,
     assemble_penalty_matrix,
+    assemble_volume_norm_matrix,
     edge_points,
     edge_side_data,
     edge_sides,
@@ -414,8 +415,7 @@ def _einsum_dn(disc, rule):
 def test_edge_tables_bit_identical_to_einsum(degree):
     rule = QuadratureRule.interval(degree)
     disc = Discretization(mesh_hierarchy(built_in_polygon("pentagon150"), 3)[3])
-    lap = disc.geom.laplacians()
-    tables = [t for sides in edge_sides(disc.mesh) for t in edge_side_data(disc, sides, lap, rule)]
+    tables = [t for sides in edge_sides(disc.mesh) for t in edge_side_data(disc, sides, rule)]
     assert len(tables) == 3
     for group, dn in zip(tables, _einsum_dn(disc, rule)):
         # same strides too: matmuls over dn sum in an order that follows its layout
@@ -476,7 +476,7 @@ def _whole_table_matrices(disc):
     mass = (cell_dofs, cell_dofs, 2.0 * geom.area[:, None, None] * mref)
     a_h, penalty, mean = [volume], [], []
     for sides in edge_sides(disc.mesh):
-        tables = edge_side_data(disc, sides, lap)
+        tables = edge_side_data(disc, sides)
         mw = 1.0 / len(tables)
         for a in tables:
             for b in tables:
@@ -606,6 +606,45 @@ def test_assemblers_build_edge_tables_one_chunk_at_a_time(monkeypatch):
         # every side of every edge, once
         assert sum(rows) == mesh.n_edges + n_interior, assemble.__name__
         assert max(rows) <= c0ip_mod._CHUNK, assemble.__name__
+
+
+def test_assemblers_and_check_map_one_chunk_of_triangles_at_a_time(monkeypatch):
+    """No Laplacian or physical-point array inside an assembler or the
+    compatibility check covers more than one chunk of triangles or edges."""
+    import c0ip.c0ip as c0ip_mod
+    from c0ip.cahn_hilliard import check_compatibility
+    from c0ip.fem import TriangleGeometry
+
+    rows = []
+
+    def spy(method):
+        def counted(self, *args):
+            out = method(self, *args)
+            rows.append(len(out))
+            return out
+
+        return counted
+
+    for name in ("laplacians", "to_physical"):
+        monkeypatch.setattr(TriangleGeometry, name, spy(getattr(TriangleGeometry, name)))
+    disc = Discretization(mesh_hierarchy(built_in_polygon("hexagon"), 5)[5])
+    assert disc.mesh.n_triangles > c0ip_mod._CHUNK
+    g1 = lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y)
+    runs = {
+        "a_h": lambda: assemble_a_h(disc),
+        "volume norm": lambda: assemble_volume_norm_matrix(disc),
+        "penalty": lambda: assemble_penalty_matrix(disc),
+        "mean norm": lambda: assemble_mean_norm_matrix(disc),
+        "mass": lambda: assemble_mass(disc),  # reads neither
+        "load": lambda: assemble_load(disc, g1),
+        # a zero flux: the check only needs to run, not to pass
+        "check": lambda: check_compatibility(disc, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x),
+    }
+    for name, run in runs.items():
+        rows.clear()
+        run()
+        assert max(rows, default=0) <= c0ip_mod._CHUNK, name
+        assert rows or name == "mass", name
 
 
 def test_assembly_transient_bounded_by_result_size():

@@ -289,3 +289,29 @@ def test_check_mesh_reversed_levels(capsys):
     assert main(["check-mesh", "hexagon", "3..2"]) == 1
     err = capsys.readouterr().err
     assert "argument levels: the lower level 3 must not exceed the upper level 2" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_vertex_file_refused_by_config_and_check_mesh(tmp_path, capsys, value):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0 0\n1 0\n1 {value}\n0 1\n")
+    with pytest.raises(ConfigError, match="^line 3: .*polygon vertex 2 is not finite"):
+        parse_config(CONTROL + f"domain = {bad}\n")
+    assert main(["check-mesh", str(bad), "1..2"]) == 1
+    assert "polygon vertex 2 is not finite" in capsys.readouterr().err
+
+
+def test_output_in_missing_directory_refused_before_the_study(tmp_path, capsys, monkeypatch):
+    import c0ip.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_study", lambda study: calls.append(study))
+    missing = tmp_path / "no" / "such"
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(PLATE + f"output = {missing / 'plate.csv'}\n")
+    assert main(["run", str(cfg)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        f"error: line 3: output directory {str(missing)!r} does not exist\n"
+    )
+    assert not missing.parent.exists()

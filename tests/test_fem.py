@@ -7,7 +7,7 @@ from c0ip.c0ip import Discretization
 from c0ip.fem import P2, QuadratureRule, TriangleGeometry, build_dofmap
 from c0ip.mesh import built_in_polygon, mesh_hierarchy, refine_uniform, triangulate_initial
 
-from helpers import dof_nodes, interpolate
+from helpers import dof_nodes, interpolate, jittered_hexagon
 
 
 def test_nodal_property():
@@ -203,3 +203,28 @@ def test_to_physical_of_some_cells_is_their_rows(pentagon_geometry):
     whole = pentagon_geometry.to_physical(ref)
     for cells in (slice(3, 17), np.array([5, 0, 9])):
         assert np.array_equal(pentagon_geometry.to_physical(ref, cells), whole[cells])
+
+
+@pytest.mark.parametrize(
+    "domain", ["unit-square", "hexagon", "pentagon150", "right-triangle", "jittered-hexagon"]
+)
+def test_laplacians_of_some_cells_are_their_rows(domain):
+    """Slices, chunk index arrays and the edge-adjacency gathers of the edge
+    tables give the whole-mesh Laplacian rows bit for bit."""
+    import c0ip.c0ip as c0ip_mod
+
+    poly = (
+        jittered_hexagon(np.random.default_rng(0))
+        if domain == "jittered-hexagon"
+        else built_in_polygon(domain)
+    )
+    hierarchy = mesh_hierarchy(poly, 5)
+    for level in (1, 3, 5):
+        mesh = hierarchy[level]
+        geom = TriangleGeometry.from_mesh(mesh)
+        whole = geom.laplacians()
+        chunks = c0ip_mod.chunks(mesh.n_triangles)
+        interior = ~mesh.is_boundary_edge
+        gathers = [mesh.edge_t_minus, mesh.edge_t_plus[interior], mesh.edge_t_minus[~interior]]
+        for cells in [slice(0, 2), *chunks, *(np.arange(c.start, c.stop) for c in chunks), *gathers]:
+            assert np.array_equal(geom.laplacians(cells), whole[cells]), (level, cells)

@@ -324,6 +324,14 @@ def test_load_polygon_rejects_malformed(tmp_path):
         load_polygon(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_polygon_rejects_non_finite_vertices(tmp_path, value):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"0 0\n1 0\n{value} 1\n0 1\n")
+    with pytest.raises(MeshError, match=r"^polygon vertex 2 is not finite"):
+        load_polygon(p)
+
+
 def test_random_convex_polygons_triangulate(rng=np.random.default_rng(7)):
     for _ in range(20):
         n = int(rng.integers(3, 9))

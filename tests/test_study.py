@@ -321,7 +321,7 @@ def _whole_table_errors(v, exact, disc, norms):
     w = rule.weights
     lap = geom.laplacians()
     groups = edge_sides(mesh)
-    (bnd,), (im, ip) = (edge_side_data(disc, sides, lap, rule) for sides in groups)
+    (bnd,), (im, ip) = (edge_side_data(disc, sides, rule) for sides in groups)
     bnd_edges, int_edges = groups[0][0][0], groups[1][0][0]
 
     pts = geom.to_physical(tri_rule.points)

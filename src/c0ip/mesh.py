@@ -145,23 +145,27 @@ def built_in_polygon(name):
 
 
 def load_polygon(path):
-    """Read a polygon from plain text: one ``x y`` pair per line, CCW order.
+    """Read a polygon from UTF-8 text: one ``x y`` pair per line, CCW order.
 
     The polygon is named by its path.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MeshError(f"{path}:{lineno}: expected 'x y', got {raw.strip()!r}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise MeshError(f"{path}:{lineno}: non-numeric coordinate") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise MeshError(f"{path}:{lineno}: expected 'x y', got {raw.strip()!r}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise MeshError(f"{path}:{lineno}: non-numeric coordinate") from None
     return Polygon(np.asarray(rows, dtype=float), name=str(path))
 
 

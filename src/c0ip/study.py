@@ -40,7 +40,6 @@ __all__ = [
     "eoc",
     "ConvergenceReport",
     "run_study",
-    "restrict_to_level",
     "MAX_REFERENCE_LEVEL",
 ]
 
@@ -453,11 +452,6 @@ def _solve_case_on_mesh(case, mesh, sigma, alpha):
     raise ValueError(f"unknown problem kind {case.problem!r}")
 
 
-def restrict_to_level(fine_coeffs, coarse_dofmap):
-    """Nodal restriction of a finer-level vector: an exact prefix slice."""
-    return np.asarray(fine_coeffs)[: coarse_dofmap.n_dofs].copy()
-
-
 # errors against a finer reference solve: matrix norms of the restricted difference
 _reference_errors = matrix_norms
 
@@ -492,7 +486,7 @@ def run_study(study):
         disc, v, iters = _solve_case_on_mesh(case, hierarchy[lev], sigma, alpha)
         seconds = time.perf_counter() - t0
         if reference_level is not None:
-            diff = v - restrict_to_level(ref_coeffs, disc.dofmap)
+            diff = v - ref_coeffs[: disc.dofmap.n_dofs]
             errors = _reference_errors(diff, disc, norms)
         else:
             errors = _exact_errors(v, case.exact, disc, norms)

@@ -184,8 +184,32 @@ def test_main_list_cases(capsys):
 
 def test_main_check_mesh(capsys):
     assert main(["check-mesh", "hexagon", "1..3"]) == 0
-    out = capsys.readouterr().out
-    assert "ok" in out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["level", "vertices", "triangles", "edges", "h", "area_defect"]
+    assert [row.split()[:4] for row in rows] == [
+        ["1", "15", "16", "30"], ["2", "45", "64", "108"], ["3", "153", "256", "408"]
+    ]
+
+
+# a strictly convex 7-gon on which rounded angle classes split across levels
+HEPTAGON = """\
+0.9741182987695084 0.22603880198408127
+0.6773904224579815 0.7356236915449348
+-0.46421227456467584 0.88572397740125
+-0.46323365554782947 -0.8862361876880197
+-0.31418311617046785 -0.9493624015692923
+0.64175937211909 -0.7669060622379454
+0.8279774771113929 -0.5607613551202087
+"""
+
+
+def test_check_mesh_on_heptagon(tmp_path, capsys):
+    path = tmp_path / "heptagon.txt"
+    path.write_text(HEPTAGON)
+    assert main(["check-mesh", str(path), "1..3"]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["1", "2", "3"]
+    assert err == ""
 
 
 def test_main_check_mesh_bad_domain(capsys):
@@ -315,3 +339,45 @@ def test_output_in_missing_directory_refused_before_the_study(tmp_path, capsys, 
         f"error: line 3: output directory {str(missing)!r} does not exist\n"
     )
     assert not missing.parent.exists()
+
+
+def test_output_that_is_a_directory_refused_before_the_study(tmp_path, capsys, monkeypatch):
+    import c0ip.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_study", lambda study: calls.append(study))
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(PLATE + f"output = {tmp_path}\n")
+    assert main(["run", str(cfg)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == f"error: line 3: output {str(tmp_path)!r} is a directory\n"
+
+
+def test_default_output_that_is_a_directory_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clamped-plate.csv").mkdir()
+    with pytest.raises(ConfigError, match="^default output 'clamped-plate.csv' is a directory$"):
+        parse_config(PLATE)
+
+
+def test_config_that_is_not_utf8_refused(tmp_path, capsys):
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_bytes(b"problem = clamped-plate\nlevels = 1..2 \xff\n")
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
+def test_vertex_file_that_is_not_utf8_refused_by_config_and_check_mesh(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0\n1 0\n1 1\xff\n0 1\n")
+    cfg = tmp_path / "control.cfg"
+    cfg.write_text(CONTROL + f"domain = {bad}\n")
+    message = f"{bad}: not UTF-8 text (invalid start byte at byte 11)"
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: domain must be a built-in name")
+    assert err.endswith(f"or a vertex file: {message}\n")
+    assert main(["check-mesh", str(bad), "1..2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

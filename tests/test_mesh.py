@@ -1,8 +1,12 @@
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c0ip.cli import main
 from c0ip.fem import build_dofmap
 from c0ip.mesh import (
     BUILT_IN_DOMAINS,
@@ -126,12 +130,13 @@ def test_area_preserved_under_refinement(domain):
         assert abs(total - poly.area) <= 1e-12 * max(abs(poly.area), 1.0)
 
 
-@pytest.mark.parametrize("domain", sorted(BUILT_IN_DOMAINS))
-def test_edge_invariants(domain):
-    mesh = mesh_hierarchy(built_in_polygon(domain), 2)[2]
+def assert_mesh_invariants(mesh):
+    """What ``build_edges`` guarantees for every mesh it returns."""
+    assert np.all(mesh.triangle_areas() > 0.0)
+    assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 1
     # unit normals
-    assert np.allclose(np.hypot(*mesh.edge_normal.T), 1.0, atol=1e-14)
-    # interior normals point from T- to T+
+    assert np.allclose(np.hypot(*mesh.edge_normal.T), 1.0, rtol=0.0, atol=1e-14)
+    # interior normals point strictly from T- to T+
     interior = ~mesh.is_boundary_edge
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     dots = np.einsum(
@@ -160,31 +165,17 @@ def test_edge_invariants(domain):
 
 
 @pytest.mark.parametrize("domain", sorted(BUILT_IN_DOMAINS))
+def test_edge_invariants(domain):
+    for mesh in mesh_hierarchy(built_in_polygon(domain), 2):
+        assert_mesh_invariants(mesh)
+
+
+@pytest.mark.parametrize("domain", sorted(BUILT_IN_DOMAINS))
 def test_boundary_length_matches_perimeter(domain):
     poly = built_in_polygon(domain)
     for mesh in mesh_hierarchy(poly, 2):
         blen = float(mesh.edge_length[mesh.is_boundary_edge].sum())
         assert abs(blen - perimeter(poly)) < 1e-12 * max(perimeter(poly), 1.0)
-
-
-def test_similarity_classes_invariant_under_refinement():
-    def classes(mesh):
-        v = mesh.vertices[mesh.triangles]
-        out = []
-        for k in range(3):
-            a = v[:, (k + 1) % 3] - v[:, k]
-            b = v[:, (k + 2) % 3] - v[:, k]
-            c = np.einsum("ij,ij->i", a, b) / (
-                np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1])
-            )
-            out.append(np.arccos(np.clip(c, -1, 1)))
-        trip = np.sort(np.stack(out, axis=1), axis=1)
-        return np.unique(np.round(trip, 10), axis=0)
-
-    hier = mesh_hierarchy(built_in_polygon("pentagon150"), 3)
-    base = classes(hier[0])
-    for mesh in hier[1:]:
-        assert np.allclose(classes(mesh), base, atol=1e-9)
 
 
 def test_corner_vertices_persist():
@@ -245,6 +236,46 @@ def test_prefix_property_on_random_convex_polygons(poly):
         assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
         nodes = dof_nodes(coarse)
         assert np.array_equal(dof_nodes(fine)[: len(nodes)], nodes)
+
+
+def sorted_angles(mesh):
+    """Each triangle's interior angles, ascending."""
+    v = mesh.vertices[mesh.triangles]
+    angles = []
+    for k in range(3):
+        a = v[:, (k + 1) % 3] - v[:, k]
+        b = v[:, (k + 2) % 3] - v[:, k]
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        angles.append(np.arctan2(np.abs(cross), np.einsum("ij,ij->i", a, b)))
+    return np.sort(np.stack(angles, axis=1), axis=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(convex_polygons())
+def test_similarity_classes_invariant_under_refinement(poly):
+    # red refinement: children 4p..4p+3 are similar to parent p
+    hier = mesh_hierarchy(poly, 2)
+    for coarse, fine in zip(hier, hier[1:]):
+        parent = sorted_angles(coarse)[np.arange(fine.n_triangles) // 4]
+        assert np.allclose(sorted_angles(fine), parent, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(convex_polygons())
+def test_edge_invariants_on_random_convex_polygons(poly):
+    for mesh in mesh_hierarchy(poly, 2):
+        assert_mesh_invariants(mesh)
+
+
+@settings(max_examples=25, deadline=None)
+@given(convex_polygons())
+def test_check_mesh_accepts_random_convex_polygons(tmp_path_factory, poly):
+    path = tmp_path_factory.mktemp("poly") / "vertices.txt"
+    path.write_text("".join(f"{x!r} {y!r}\n" for x, y in poly.vertices.tolist()))
+    assert load_polygon(path) == Polygon(poly.vertices, name=str(path))
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["check-mesh", str(path), "1..2"]) == 0
+    assert len(out.getvalue().splitlines()) == 3
 
 
 def test_vertex_prefix_stability():

@@ -26,7 +26,6 @@ chunk.  Every edge integral reads the ``EdgeSideGroup`` tables of
 ``edge_side_data``, which carry their own Laplacians and jump integrals.
 """
 
-import inspect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -375,25 +374,14 @@ def assemble_mass(disc):
     return _assemble(disc, volume=lambda cells: 2.0 * area[cells, None, None] * mref)
 
 
-def _wants_normal(g2):
-    try:
-        return len(inspect.signature(g2).parameters) >= 4
-    except (TypeError, ValueError):
-        return False
-
-
 def boundary_values(g2, table):
-    """Flux ``g2`` at the points of a boundary side ``table``; (n, Q).
+    """Flux ``g2(x, y, nx, ny)`` at the points of a boundary side ``table``; (n, Q).
 
-    A flux of four arguments ``g2(x, y, nx, ny)`` also receives the table's
-    outward unit normals.
+    ``nx, ny`` are the table's outward unit normals; ``g2`` may return a scalar.
     """
-    pts = table.points
-    normal = ()
-    if _wants_normal(g2):
-        normal = (table.normal[:, None, 0], table.normal[:, None, 1])
-    return np.broadcast_to(np.asarray(g2(pts[..., 0], pts[..., 1], *normal), dtype=float),
-                           pts.shape[:2])
+    pts, normal = table.points, table.normal
+    values = g2(pts[..., 0], pts[..., 1], normal[:, None, 0], normal[:, None, 1])
+    return np.broadcast_to(np.asarray(values, dtype=float), pts.shape[:2])
 
 
 def assemble_load(disc, f):
@@ -410,7 +398,7 @@ def assemble_load(disc, f):
 def assemble_boundary_load(disc, g2):
     """Boundary functional b_i = sum_{boundary edges} int_e g2 N_i ds.
 
-    ``g2`` is ``g2(x, y)`` or, for normal-dependent fluxes, ``g2(x, y, nx, ny)``.
+    ``g2`` is the flux ``g2(x, y, nx, ny)`` of ``boundary_values``.
     """
     b = np.zeros(disc.dofmap.n_dofs)
     for _, (side,) in edge_chunks(disc, edge_sides(disc.mesh)[0]):

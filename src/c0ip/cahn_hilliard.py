@@ -65,6 +65,8 @@ def _integral_and_norm(measure, values, rule):
 def check_compatibility(disc, g1, g2):
     """Defect int g1 dx - int g2 ds on ``disc``'s mesh; raises if it is not negligible.
 
+    ``g1`` is ``g1(x, y)`` and ``g2`` is the flux ``g2(x, y, nx, ny)``.
+
     The defect is measured against the data scale ||g1|| + ||g2|| + 1: above
     ``_COMPAT_HARD`` times the scale it raises ``CompatibilityError``, above
     ``_COMPAT_WARN`` times the scale it warns.

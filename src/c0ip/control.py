@@ -132,12 +132,14 @@ def kkt_residuals(problem, u_f, q, phi):
 
 def solve_kkt(problem):
     """Reduced-space solve of the discrete optimality system."""
+    # factor alpha A + M before the state band exists, so its temporaries never meet it
+    precond = problem.precond_factor.solve
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),
         reduced_rhs(problem),
         tol=1e-10,
         max_iter=2000,
-        precond=problem.precond_factor.solve,
+        precond=precond,
     )
     if not report.success:
         raise RuntimeError(

@@ -26,7 +26,7 @@ from .c0ip import (
     triangle_values,
 )
 from .fem import P2, QuadratureRule
-from .linalg import cholesky_solve
+from .linalg import PositiveDefiniteError, cholesky_solve
 from .mesh import BUILT_IN_DOMAINS, MeshError, Polygon, load_domain, mesh_hierarchy
 
 __all__ = [
@@ -138,7 +138,7 @@ CASES = {
         name="cosine",
         problem="cahn-hilliard",
         description="cosine product with zero flux, pinned at the origin",
-        data={"g1": _cos_source, "g2": lambda x, y: np.zeros_like(np.asarray(x, dtype=float))},
+        data={"g1": _cos_source, "g2": lambda x, y, nx, ny: 0.0},
         exact=ExactField(_cos_value, _cos_gradient, _cos_laplacian),
         domains=("unit-square",),
     ),
@@ -433,22 +433,28 @@ def _fmt(x):
 def _solve_case_on_mesh(case, mesh, sigma, alpha):
     """One solve on a new discretization of ``mesh``.
 
-    Returns (discretization, coefficients, iterations) for the case.
+    Returns (discretization, coefficients, iterations) for the case.  A failed
+    factorization is re-raised with the mesh level, problem kind and sigma.
     """
     disc = Discretization(mesh, sigma)
-    if case.problem == "clamped-plate":
-        A = disc.A
-        b = assemble_load(disc, case.data["f"])
-        x, _ = cholesky_solve(A, b, disc.dofmap.boundary_dof_ids)
-        return disc, x, 0
-    if case.problem == "cahn-hilliard":
-        prob = ch.ChProblem(disc, case.data["g1"], case.data["g2"])
-        psi, _ = ch.solve_ch(prob)
-        return disc, psi, 0
-    if case.problem == "dirichlet-control":
-        prob = ctl.ControlProblem(disc, case.data["f"], case.data["u_d"], alpha=alpha)
-        sol = ctl.solve_kkt(prob)
-        return disc, sol.q_h, sol.report.iterations
+    try:
+        if case.problem == "clamped-plate":
+            A = disc.A
+            b = assemble_load(disc, case.data["f"])
+            x, _ = cholesky_solve(A, b, disc.dofmap.boundary_dof_ids)
+            return disc, x, 0
+        if case.problem == "cahn-hilliard":
+            prob = ch.ChProblem(disc, case.data["g1"], case.data["g2"])
+            psi, _ = ch.solve_ch(prob)
+            return disc, psi, 0
+        if case.problem == "dirichlet-control":
+            prob = ctl.ControlProblem(disc, case.data["f"], case.data["u_d"], alpha=alpha)
+            sol = ctl.solve_kkt(prob)
+            return disc, sol.q_h, sol.report.iterations
+    except PositiveDefiniteError as exc:
+        raise PositiveDefiniteError(
+            f"level {mesh.level} ({case.problem}, sigma {sigma:g}): {exc}"
+        ) from exc
     raise ValueError(f"unknown problem kind {case.problem!r}")
 
 

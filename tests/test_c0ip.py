@@ -230,27 +230,32 @@ def test_load_matches_fine_quadrature_oracle(square2):
 
 def test_boundary_load_values(square2):
     disc = Discretization(square2)
-    ones = assemble_boundary_load(disc, lambda x, y: np.ones_like(x))
+    ones = assemble_boundary_load(disc, lambda x, y, nx, ny: np.ones_like(x))
     assert float(ones.sum()) == pytest.approx(4.0, abs=1e-12)  # perimeter
-    zeros = assemble_boundary_load(disc, lambda x, y: np.zeros_like(x))
+    zeros = assemble_boundary_load(disc, lambda x, y, nx, ny: np.zeros_like(x))
     assert np.all(zeros == 0.0)
 
-    def g2(x, y):
+    def g2(x, y, nx, ny):
         return np.where(np.abs(y) < 1e-12, x, 0.0)
 
     b = assemble_boundary_load(disc, g2)
     assert float(b.sum()) == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("domain", ["hexagon", "pentagon150"])
+@pytest.mark.parametrize("domain", ["unit-square", "right-triangle", "hexagon", "pentagon150"])
 def test_boundary_load_passes_outward_normal(domain):
-    """A four-argument flux receives the outward normal: by the divergence
-    theorem the boundary integral of x . n is 2 |Omega|, and the integrand
-    is a cubic on each edge, so the edge rule is exact."""
+    """The flux receives the outward normal: by the divergence theorem the
+    boundary integral of x . n is 2 |Omega|, and the integrand is a cubic on
+    each edge, so the edge rule is exact.  The compatibility check gets the
+    same normals, so source 2 balances that flux to roundoff."""
+    from c0ip.cahn_hilliard import check_compatibility
+
     polygon = built_in_polygon(domain)
-    mesh = mesh_hierarchy(polygon, 2)[2]
-    b = assemble_boundary_load(Discretization(mesh), lambda x, y, nx, ny: x * nx + y * ny)
+    disc = Discretization(mesh_hierarchy(polygon, 2)[2])
+    flux = lambda x, y, nx, ny: x * nx + y * ny
+    b = assemble_boundary_load(disc, flux)
     assert float(b.sum()) == pytest.approx(2.0 * polygon.area, abs=1e-12)
+    assert abs(check_compatibility(disc, lambda x, y: 2.0, flux)) < 1e-12
 
 
 # -- definiteness, kernel, norm equivalence ----------------------------------
@@ -638,7 +643,9 @@ def test_assemblers_and_check_map_one_chunk_of_triangles_at_a_time(monkeypatch):
         "mass": lambda: assemble_mass(disc),  # reads neither
         "load": lambda: assemble_load(disc, g1),
         # a zero flux: the check only needs to run, not to pass
-        "check": lambda: check_compatibility(disc, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x),
+        "check": lambda: check_compatibility(
+            disc, lambda x, y: 0.0 * x, lambda x, y, nx, ny: 0.0 * x
+        ),
     }
     for name, run in runs.items():
         rows.clear()

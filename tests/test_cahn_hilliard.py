@@ -21,6 +21,10 @@ def zero(x, y):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def zero_flux(x, y, nx, ny):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def cos_source(x, y):
     return 4 * PI**4 * np.cos(PI * x) * np.cos(PI * y)
 
@@ -39,7 +43,7 @@ def square_hierarchy():
 
 
 def test_compatibility_zero_data(square_hierarchy):
-    assert check_compatibility(Discretization(square_hierarchy[1]), zero, zero) == 0.0
+    assert check_compatibility(Discretization(square_hierarchy[1]), zero, zero_flux) == 0.0
 
 
 def test_compatibility_constant_data(square_hierarchy):
@@ -48,13 +52,13 @@ def test_compatibility_constant_data(square_hierarchy):
     defect = check_compatibility(
         Discretization(square_hierarchy[1]),
         lambda x, y: np.ones_like(x),
-        lambda x, y: np.full_like(x, 0.25),
+        lambda x, y, nx, ny: np.full_like(x, 0.25),
     )
     assert abs(defect) < 1e-13
 
 
 def test_compatibility_cosine(square_hierarchy):
-    defect = check_compatibility(Discretization(square_hierarchy[2]), cos_source, zero)
+    defect = check_compatibility(Discretization(square_hierarchy[2]), cos_source, zero_flux)
     assert abs(defect) < 1e-10
     # sanity against an independent volume quadrature
     assert abs(oracle_integral(square_hierarchy[2], cos_source)) < 1e-10
@@ -79,7 +83,7 @@ def test_compatibility_defect_independent_of_chunk_size(domain, monkeypatch):
 def test_incompatible_data_rejected(square_hierarchy):
     with pytest.raises(CompatibilityError):
         check_compatibility(
-            Discretization(square_hierarchy[1]), lambda x, y: np.ones_like(x), zero
+            Discretization(square_hierarchy[1]), lambda x, y: np.ones_like(x), zero_flux
         )
 
 
@@ -119,7 +123,7 @@ def test_study_rejects_incompatible_data_before_any_factor(monkeypatch):
         name="incompatible",
         problem="cahn-hilliard",
         description="unit source with zero flux",
-        data={"g1": lambda x, y: np.ones_like(x), "g2": zero},
+        data={"g1": lambda x, y: np.ones_like(x), "g2": zero_flux},
     )
     with pytest.raises(CompatibilityError):
         run_study(Study(case, [1, 2], reference_level=3))
@@ -136,23 +140,23 @@ def test_default_pin_is_lexicographic_smallest():
 
 def test_pin_must_be_corner(square_hierarchy):
     with pytest.raises(ValueError):
-        _problem(square_hierarchy[1], zero, zero, pinned_corner=10**6)
+        _problem(square_hierarchy[1], zero, zero_flux, pinned_corner=10**6)
 
 
 def test_zero_data_zero_solution(square_hierarchy):
-    psi, _ = solve_ch(_problem(square_hierarchy[2], zero, zero))
+    psi, _ = solve_ch(_problem(square_hierarchy[2], zero, zero_flux))
     assert np.all(psi == 0.0)
 
 
 def test_pinned_value_exactly_zero(square_hierarchy):
-    psi, report = solve_ch(_problem(square_hierarchy[2], cos_source, zero))
+    psi, report = solve_ch(_problem(square_hierarchy[2], cos_source, zero_flux))
     assert psi[0] == 0.0
     assert report.relative_residual <= 1e-10
 
 
 def test_residual_orthogonality(square_hierarchy):
     mesh = square_hierarchy[2]
-    prob = _problem(mesh, cos_source, zero)
+    prob = _problem(mesh, cos_source, zero_flux)
     psi, _ = solve_ch(prob)
     dm = prob.disc.dofmap
     A = assemble_a_h(prob.disc)
@@ -168,7 +172,7 @@ def test_cosine_errors_decrease(square_hierarchy):
     case = get_case("cosine")
     errs_h, errs_l2 = [], []
     for lev in (2, 3, 4):
-        prob = _problem(square_hierarchy[lev], cos_source, zero)
+        prob = _problem(square_hierarchy[lev], cos_source, zero_flux)
         psi, _ = solve_ch(prob)
         errs_h.append(_exact_errors(psi, case.exact, prob.disc, ("h",))["h"])
         errs_l2.append(l2_error(psi, cos_exact, prob.disc))
@@ -182,9 +186,9 @@ def test_pin_choice_changes_little(square_hierarchy):
     """Pinning a different corner shifts the solution by roughly a constant;
     after mean adjustment the difference is at discretization-error scale."""
     mesh = square_hierarchy[3]
-    psi_a, _ = solve_ch(_problem(mesh, cos_source, zero))
+    psi_a, _ = solve_ch(_problem(mesh, cos_source, zero_flux))
     corner_b = int(mesh.corner_vertex_ids[2])
-    psi_b, _ = solve_ch(_problem(mesh, cos_source, zero, pinned_corner=corner_b))
+    psi_b, _ = solve_ch(_problem(mesh, cos_source, zero_flux, pinned_corner=corner_b))
 
     M = assemble_mass(Discretization(mesh))
     area = float(M.sum())
@@ -199,7 +203,7 @@ def test_pin_choice_changes_little(square_hierarchy):
 @pytest.mark.parametrize("domain", ["unit-square", "right-triangle", "hexagon", "pentagon150"])
 def test_pinned_system_definite_at_default_sigma(domain):
     mesh = mesh_hierarchy(built_in_polygon(domain), 3)[3]
-    psi, _ = solve_ch(_problem(mesh, zero, zero))
+    psi, _ = solve_ch(_problem(mesh, zero, zero_flux))
     assert np.all(psi == 0.0)
 
 
@@ -214,7 +218,7 @@ def test_solution_satisfies_oracle_equation(square_hierarchy):
     from oracle import oracle_a_h, oracle_load
 
     mesh = square_hierarchy[1]
-    prob = _problem(mesh, cos_source, zero)
+    prob = _problem(mesh, cos_source, zero_flux)
     psi, _ = solve_ch(prob)
     dm = prob.disc.dofmap
     A = oracle_a_h(mesh, dm, prob.disc.sigma, prob.disc.consistency_sign)

@@ -212,6 +212,24 @@ def test_check_mesh_on_heptagon(tmp_path, capsys):
     assert err == ""
 
 
+def test_run_heptagon_names_the_failing_factor(tmp_path, capsys):
+    # the level-3 reference factor is indefinite at sigma 10 on this 7-gon
+    path = tmp_path / "heptagon.txt"
+    path.write_text(HEPTAGON)
+    out = tmp_path / "hept.csv"
+    cfgfile = tmp_path / "hept.cfg"
+    cfgfile.write_text(
+        f"problem = cahn-hilliard\ncase = cosine-flux\ndomain = {path}\nlevels = 1..2\n"
+        f"reference-level = 3\nsigma = 10\noutput = {out}\n"
+    )
+    assert main(["run", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: level 3 (cahn-hilliard, sigma 10): ")
+    assert "leading minor not positive definite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_check_mesh_bad_domain(capsys):
     assert main(["check-mesh", "flubber", "1..2"]) == 1
 

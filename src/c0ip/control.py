@@ -12,7 +12,11 @@ for all v in V_h: T q has q's boundary values and is a-orthogonal to V_h.
 H is driven by preconditioned CG (preconditioner alpha A + M).  A and M
 are those of the problem's ``Discretization``.  The inner V_h solves use
 one factor of A with the boundary dofs fixed inside it; its solves take and
-return full-length vectors, zero on the boundary.  The discrete cost and
+return full-length vectors, zero on the boundary.  Both factors are
+``SuperLUFactor``s, not band Cholesky factors: each CG iteration solves
+three times, so the sparse factor's faster solves and smaller fill repay
+its build, and the band built first only decides definiteness (see
+``c0ip.linalg``).  The discrete cost and
 the assembled three-by-three block system, an independent cross-check of
 the reduced path, live with the tests (``tests/kkt_reference.py``).
 """
@@ -23,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .c0ip import assemble_load
-from .linalg import BandedCholesky, SolveReport, cg_solve
+from .linalg import SolveReport, SuperLUFactor, cg_solve
 
 __all__ = [
     "ControlProblem",
@@ -57,13 +61,13 @@ class ControlProblem:
 
     @cached_property
     def state_factor(self):
-        """Cholesky factor of the stiffness matrix on V_h (boundary dofs fixed)."""
-        return BandedCholesky(self.A, self.disc.dofmap.boundary_dof_ids)
+        """Sparse LU factor of the stiffness matrix on V_h (boundary dofs fixed)."""
+        return SuperLUFactor(self.A, self.disc.dofmap.boundary_dof_ids)
 
     @cached_property
     def precond_factor(self):
-        """Cholesky factor of alpha A + M (reduced-space preconditioner)."""
-        return BandedCholesky(self.alpha * self.A + self.M)
+        """Sparse LU factor of alpha A + M (reduced-space preconditioner)."""
+        return SuperLUFactor(self.alpha * self.A + self.M)
 
     # -- V_h solves ---------------------------------------------------------
 
@@ -132,7 +136,8 @@ def kkt_residuals(problem, u_f, q, phi):
 
 def solve_kkt(problem):
     """Reduced-space solve of the discrete optimality system."""
-    # factor alpha A + M before the state band exists, so its temporaries never meet it
+    # factor alpha A + M first: the state's verdict band, the smaller band,
+    # is then the one that meets the other factor
     precond = problem.precond_factor.solve
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),

@@ -1,4 +1,4 @@
-"""Sparse symmetric solves: banded Cholesky behind RCM, CG, and constraints.
+"""Sparse symmetric solves: banded Cholesky behind RCM, SuperLU, CG, and constraints.
 
 Matrices are scipy CSR throughout; assembly produces
 canonical (sorted, duplicate-free) matrices, and ``constrain`` sums the
@@ -17,6 +17,19 @@ Fixed dofs (the boundary of V_h, a pinned corner) are eliminated inside the
 factor: ``BandedCholesky(A, fixed)`` factors A restricted to the free dofs,
 and its solves take and return full-length vectors that are zero on the
 fixed dofs.  ``cholesky_solve`` is the one-shot path with a residual report.
+
+Which factor a system gets depends on how often it is solved.  A system
+solved once per factor (the plate, the Cahn-Hilliard levels and their
+reference) uses ``BandedCholesky``: the band is the cheaper factor to
+build, and the Cahn-Hilliard reference values frozen by the benchmark hold
+the band's roundoff.  A system solved hundreds of times (the control's
+state and preconditioner factors, three solves per reduced-CG iteration)
+uses ``SuperLUFactor``: under a minimum degree ordering its L and U take
+about two thirds of the band's memory and solve in about half its time.
+Its definiteness verdict is a ``BandedCholesky`` built and dropped first,
+not the signs of U's diagonal: reading the factor's ``U`` attribute makes
+scipy build and keep L and U as separate matrices, which costs more memory
+than the band.
 """
 
 import ctypes
@@ -27,11 +40,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 __all__ = [
     "SolveReport",
     "PositiveDefiniteError",
     "BandedCholesky",
+    "SuperLUFactor",
     "cholesky_solve",
     "cg_solve",
     "constrain",
@@ -147,6 +162,43 @@ class BandedCholesky:
         x[self._gather] = sla.cho_solve_banded(
             (self._factor, False), b[self._gather], check_finite=False
         )
+        return x
+
+
+class SuperLUFactor:
+    """Reusable sparse LU factor of an SPD matrix on its free dofs.
+
+    For systems solved many times.  It keeps ``BandedCholesky``'s contract:
+    ``n`` free dofs of ``n_full``, ``free``, and a ``solve`` that takes and
+    returns full-length vectors, zero on ``fixed``.  A ``BandedCholesky`` of
+    the same system is built and dropped first as the definiteness verdict,
+    so ``PositiveDefiniteError``, the non-finite ``ValueError`` and the band
+    ``MemoryError`` are raised on the same inputs; the band is freed before
+    SuperLU allocates.  SuperLU then factors the reduced matrix with a
+    minimum degree ordering on A + A' and diagonal pivots.  The factor's L
+    and U are never read: scipy builds and caches them as separate matrices
+    on first access, which about doubles the factor's memory.
+    """
+
+    def __init__(self, A, fixed=()):
+        BandedCholesky(A, fixed)  # the verdict; the band is freed at once
+        self.n_full = A.shape[0]
+        reduced, self.free = constrain(A, fixed)
+        self.n = reduced.shape[0]
+        self._lu = None
+        if self.n:
+            self._lu = splu(
+                reduced.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+
+    def solve(self, b):
+        x = np.zeros(self.n_full)
+        if self.n == 0:
+            return x
+        x[self.free] = self._lu.solve(np.asarray(b, dtype=float)[self.free])
         return x
 
 

@@ -31,7 +31,7 @@ def _lift(problem, q):
 
 @pytest.fixture(scope="module")
 def hierarchy():
-    return mesh_hierarchy(built_in_polygon("unit-square"), 3)
+    return mesh_hierarchy(built_in_polygon("unit-square"), 4)
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +128,15 @@ def test_kkt_residuals_small(problem2):
     assert max(sol.residuals.values()) <= 1e-10
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
-def test_reduced_matches_monolithic(hierarchy, level):
+@pytest.mark.parametrize(
+    "domain, level",
+    [("unit-square", 1), ("unit-square", 2), ("unit-square", 3), ("unit-square", 4),
+     ("hexagon", 3)],
+    ids=["1", "2", "3", "4", "hexagon-3"],
+)
+def test_reduced_matches_monolithic(hierarchy, domain, level):
+    if domain != "unit-square":
+        hierarchy = mesh_hierarchy(built_in_polygon(domain), level)
     prob = _problem(hierarchy[level], one, u_desired, alpha=0.1)
     red = ctl.solve_kkt(prob)
     mono = solve_kkt_monolithic(prob)

@@ -17,11 +17,26 @@ from c0ip.cli import main
 from c0ip.linalg import (
     BandedCholesky,
     PositiveDefiniteError,
+    SuperLUFactor,
     cg_solve,
     cholesky_solve,
     constrain,
 )
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
+
+from helpers import jittered_hexagon
+
+FACTORS = pytest.mark.parametrize("factor", [BandedCholesky, SuperLUFactor])
+
+
+def _superlu_solve(A, b):
+    return SuperLUFactor(A).solve(b)
+
+
+# both direct paths, each refusing what it cannot factor
+SOLVES = pytest.mark.parametrize(
+    "solve", [cholesky_solve, _superlu_solve], ids=["cholesky_solve", "SuperLUFactor"]
+)
 
 
 def test_cholesky_identity():
@@ -46,18 +61,20 @@ def test_cholesky_zero_rhs():
     assert rep.success
 
 
-def test_cholesky_rejects_indefinite():
+@SOLVES
+def test_cholesky_rejects_indefinite(solve):
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(PositiveDefiniteError):
-        cholesky_solve(A, np.array([1.0, 1.0]))
+        solve(A, np.array([1.0, 1.0]))
 
 
-def test_cholesky_zero_rhs_still_checks_definiteness():
+@SOLVES
+def test_cholesky_zero_rhs_still_checks_definiteness(solve):
     # a zero load is factored like any other, so an indefinite system is
     # refused whatever the right-hand side
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(PositiveDefiniteError):
-        cholesky_solve(A, np.zeros(2))
+        solve(A, np.zeros(2))
 
 
 def _a_h(domain, level):
@@ -89,16 +106,50 @@ def test_fixed_dofs_bit_identical_to_explicit_elimination(
     assert np.array_equal(F.solve(b), expected)
 
 
-def test_banded_solve_is_zero_on_fixed_dofs():
+@FACTORS
+def test_banded_solve_is_zero_on_fixed_dofs(factor):
     A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
     b = np.array([5.0, 1.0, 0.0])
-    x = BandedCholesky(A, [0]).solve(b)
+    F = factor(A, [0])
+    assert (F.n, F.n_full) == (2, 3) and np.array_equal(F.free, [1, 2])
+    x = F.solve(b)
     assert x.shape == (3,) and x[0] == 0.0
     r = (A @ x - b)[1:]
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b[1:])
     x_once, rep = cholesky_solve(A, b, [0])
-    assert np.array_equal(x_once, x)
+    assert np.array_equal(x_once, BandedCholesky(A, [0]).solve(b))
     assert rep.relative_residual <= 1e-10 and rep.success
+
+
+@pytest.mark.parametrize("domain", ["unit-square", "jittered-hexagon"])
+@pytest.mark.parametrize("system", ["vh", "alpha-a-plus-m"])
+def test_superlu_agrees_with_banded_cholesky(domain, system, rng=np.random.default_rng(4)):
+    # the two factors of the control's systems solve alike; they differ by
+    # roundoff only, which grows with the condition number (about 2e6 for
+    # the level-4 V_h system, where they differ by 2e-12)
+    polygon = (
+        jittered_hexagon(np.random.default_rng(0))
+        if domain == "jittered-hexagon"
+        else built_in_polygon(domain)
+    )
+    meshes = mesh_hierarchy(polygon, 4)
+    for level in range(1, 5):
+        disc = Discretization(meshes[level])
+        A, fixed = {
+            "vh": (disc.A, disc.dofmap.boundary_dof_ids),
+            "alpha-a-plus-m": (1e-4 * disc.A + disc.M, []),
+        }[system]
+        b = rng.standard_normal(A.shape[0])
+        want = BandedCholesky(A, fixed).solve(b)
+        F = SuperLUFactor(A, fixed)
+        got = F.solve(b)
+        assert np.all(got[fixed] == 0.0)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want), level
+        # and each is backward stable on the free rows
+        for x in (got, want):
+            r = (A @ x - b)[F.free]
+            scale = sp.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf)
+            assert np.linalg.norm(r, np.inf) <= 1e-14 * scale, level
 
 
 def test_cholesky_on_vh_system(rng=np.random.default_rng(1)):
@@ -218,20 +269,22 @@ def test_out_of_range_fixed_dof_is_refused(bad):
         BandedCholesky(A, [0, bad])
 
 
-def test_banded_factor_refuses_band_larger_than_memory(monkeypatch):
+@FACTORS
+def test_banded_factor_refuses_band_larger_than_memory(monkeypatch, factor):
     monkeypatch.setattr(linalg, "_physical_memory_bytes", lambda: 16)
     A = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
     with pytest.raises(MemoryError, match=r"2 dofs with bandwidth 1 needs .* GiB"):
-        BandedCholesky(A)
+        factor(A)
 
 
-def test_banded_factor_refuses_non_finite_entries():
+@FACTORS
+def test_banded_factor_refuses_non_finite_entries(factor):
     for bad in (np.inf, np.nan):
         A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, bad]]))
         with pytest.raises(ValueError, match="non-finite"):
-            BandedCholesky(A)
+            factor(A)
         # only the reduced matrix is checked: a fixed dof may carry the bad entry
-        assert BandedCholesky(A, fixed=[2]).solve(np.ones(3))[2] == 0.0
+        assert factor(A, fixed=[2]).solve(np.ones(3))[2] == 0.0
 
 
 def test_cli_reports_memory_preflight(monkeypatch, tmp_path, capsys):
@@ -298,13 +351,16 @@ def test_cg_cholesky_cross_oracle(rng=np.random.default_rng(2)):
     assert np.linalg.norm(xc - xi) <= 1e-8 * np.linalg.norm(xc)
 
 
-def test_constrain_fix_all():
+@FACTORS
+def test_constrain_fix_all(factor):
     A = sp.identity(3, format="csr")
     A_red, free = constrain(A, [0, 1, 2])
     assert A_red.shape == (0, 0)
     assert free.size == 0
-    F = BandedCholesky(A, [0, 1, 2])
-    assert F.bandwidth == 0
+    F = factor(A, [0, 1, 2])
+    assert F.n == 0
+    if factor is BandedCholesky:
+        assert F.bandwidth == 0
     assert np.array_equal(F.solve(np.ones(3)), np.zeros(3))
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .mesh import MeshError, load_domain, mesh_hierarchy
-from .study import CASES, DEFAULT_CASE, Study, StudyError, get_case, run_study
+from .study import CASES, DEFAULT_CASE, MAX_LEVEL, Study, StudyError, get_case, run_study
 
 __all__ = ["ConfigError", "parse_config", "run", "main"]
 
@@ -48,8 +48,8 @@ def _parse_levels(text, where):
         raise ConfigError(f"{where}: levels must be 'a..b' or an integer") from None
     if lo > hi:
         raise ConfigError(f"{where}: the lower level {lo} must not exceed the upper level {hi}")
-    if not (1 <= lo <= hi <= 7):
-        raise ConfigError(f"{where}: levels must lie within [1, 7]")
+    if not (1 <= lo <= hi <= MAX_LEVEL):
+        raise ConfigError(f"{where}: levels must lie within [1, {MAX_LEVEL}]")
     return tuple(range(lo, hi + 1))
 
 

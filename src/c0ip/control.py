@@ -13,12 +13,10 @@ H is driven by preconditioned CG (preconditioner alpha A + M).  A and M
 are those of the problem's ``Discretization``.  The inner V_h solves use
 one factor of A with the boundary dofs fixed inside it; its solves take and
 return full-length vectors, zero on the boundary.  Both factors are
-``SuperLUFactor``s, not band Cholesky factors: each CG iteration solves
-three times, so the sparse factor's faster solves and smaller fill repay
-its build, and the band built first only decides definiteness (see
-``c0ip.linalg``).  The discrete cost and
-the assembled three-by-three block system, an independent cross-check of
-the reduced path, live with the tests (``tests/kkt_reference.py``).
+``SuperLUFactor``s, because each CG iteration solves three times (the
+policy is stated in ``c0ip.linalg``).  The discrete cost and the assembled
+three-by-three block system, an independent cross-check of the reduced
+path, live with the tests (``tests/kkt_reference.py``).
 """
 
 from dataclasses import dataclass

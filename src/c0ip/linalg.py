@@ -26,10 +26,10 @@ the band's roundoff.  A system solved hundreds of times (the control's
 state and preconditioner factors, three solves per reduced-CG iteration)
 uses ``SuperLUFactor``: under a minimum degree ordering its L and U take
 about two thirds of the band's memory and solve in about half its time.
-Its definiteness verdict is a ``BandedCholesky`` built and dropped first,
-not the signs of U's diagonal: reading the factor's ``U`` attribute makes
-scipy build and keep L and U as separate matrices, which costs more memory
-than the band.
+It is a ``BandedCholesky`` whose factored band is the definiteness verdict
+and is then dropped, not the signs of U's diagonal: reading the LU
+factor's ``U`` attribute makes scipy build and keep L and U as separate
+matrices, which costs more memory than the band.
 """
 
 import ctypes
@@ -62,7 +62,7 @@ class PositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    method: str                      # "cholesky" | "cg" | "lu"
+    method: str                      # "cholesky" | "cg" ("lu": tests/kkt_reference.py only)
     iterations: int
     relative_residual: float
     success: bool
@@ -104,9 +104,10 @@ class BandedCholesky:
     matrix with non-finite entries raises ``ValueError``.  ``bandwidth`` is
     0 when every dof is fixed.
 
-    ``solve`` takes a full-length right-hand side and returns a full-length
-    solution that is zero on ``fixed``; the gather of the free dofs and the
-    RCM permutation are one index array.
+    ``solve`` takes a full-length right-hand side (any other shape raises
+    ``ValueError``) and returns a full-length solution that is zero on
+    ``fixed``; the gather of the free dofs and the RCM permutation are one
+    index array.
     """
 
     def __init__(self, A, fixed=()):
@@ -155,51 +156,43 @@ class BandedCholesky:
         self.bandwidth = bw
 
     def solve(self, b):
-        x = np.zeros(self.n_full)
-        if self.n == 0:
-            return x
         b = np.asarray(b, dtype=float)
-        x[self._gather] = sla.cho_solve_banded(
-            (self._factor, False), b[self._gather], check_finite=False
-        )
+        if b.shape != (self.n_full,):
+            raise ValueError(f"right-hand side has shape {b.shape}, not ({self.n_full},)")
+        x = np.zeros(self.n_full)
+        if self.n:
+            x[self._gather] = self._solve_free(b[self._gather])
         return x
 
+    def _solve_free(self, b):
+        """Solve on the free dofs in ``_gather`` order; a subclass swaps the factor here."""
+        return sla.cho_solve_banded((self._factor, False), b, check_finite=False)
 
-class SuperLUFactor:
-    """Reusable sparse LU factor of an SPD matrix on its free dofs.
 
-    For systems solved many times.  It keeps ``BandedCholesky``'s contract:
-    ``n`` free dofs of ``n_full``, ``free``, and a ``solve`` that takes and
-    returns full-length vectors, zero on ``fixed``.  A ``BandedCholesky`` of
-    the same system is built and dropped first as the definiteness verdict,
-    so ``PositiveDefiniteError``, the non-finite ``ValueError`` and the band
-    ``MemoryError`` are raised on the same inputs; the band is freed before
-    SuperLU allocates.  SuperLU then factors the reduced matrix with a
-    minimum degree ordering on A + A' and diagonal pivots.  The factor's L
-    and U are never read: scipy builds and caches them as separate matrices
-    on first access, which about doubles the factor's memory.
+class SuperLUFactor(BandedCholesky):
+    """``BandedCholesky``'s contract, solved by a sparse LU factor.
+
+    For systems solved many times (see the module docstring).  The band
+    built by ``BandedCholesky.__init__`` is the definiteness verdict, so the
+    same inputs raise the same errors; it is dropped before SuperLU factors
+    the reduced matrix with a minimum degree ordering on A + A' and diagonal
+    pivots.  The factor's L and U are never read.
     """
 
     def __init__(self, A, fixed=()):
-        BandedCholesky(A, fixed)  # the verdict; the band is freed at once
-        self.n_full = A.shape[0]
-        reduced, self.free = constrain(A, fixed)
-        self.n = reduced.shape[0]
-        self._lu = None
+        super().__init__(A, fixed)
+        # drop the verdict's band and gather before SuperLU allocates
+        self._factor, self._gather = None, self.free
         if self.n:
             self._lu = splu(
-                reduced.tocsc(),
+                constrain(A, fixed)[0].tocsc(),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
 
-    def solve(self, b):
-        x = np.zeros(self.n_full)
-        if self.n == 0:
-            return x
-        x[self.free] = self._lu.solve(np.asarray(b, dtype=float)[self.free])
-        return x
+    def _solve_free(self, b):
+        return self._lu.solve(b)
 
 
 def cholesky_solve(A, b, fixed=()):
@@ -267,15 +260,21 @@ def constrain(A, fixed_dofs):
     The reduced CSR is read off A's own arrays through one mask of the
     entries whose row and column are both free, with no intermediate copy.
     A non-canonical A has its duplicate entries summed on a copy, so the
-    caller's arrays are never touched; a fixed id outside [0, n) raises
-    ``ValueError``.
+    caller's arrays are never touched.  A non-square A, fixed ids that are
+    not integers (a boolean mask included) and a fixed id outside [0, n)
+    raise ``ValueError``.
     """
     A = sp.csr_matrix(A)
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"cannot constrain a non-square matrix of shape {A.shape}")
     if not A.has_canonical_format:
         A = A.copy()
         A.sum_duplicates()
-    n = A.shape[0]
-    fixed = np.asarray(fixed_dofs, dtype=np.int64)
+    fixed = np.asarray(fixed_dofs)
+    if fixed.size and fixed.dtype.kind not in "iu":
+        raise ValueError(f"fixed dof ids must be integers, got dtype {fixed.dtype}")
+    fixed = fixed.astype(np.int64, copy=False)
     bad = fixed[(fixed < 0) | (fixed >= n)]
     if len(bad):
         raise ValueError(f"fixed dof id {bad[0]} is outside [0, {n})")

@@ -40,6 +40,7 @@ __all__ = [
     "eoc",
     "ConvergenceReport",
     "run_study",
+    "MAX_LEVEL",
     "MAX_REFERENCE_LEVEL",
 ]
 
@@ -47,7 +48,8 @@ __all__ = [
 # need a much finer rule to keep measurement error out of the EOC columns
 _TRI_RULE = QuadratureRule.triangle(16)
 _EDGE_RULE = QuadratureRule.interval(19)
-# finest mesh level a reference solve may use
+# finest mesh level a study may solve on, and a reference solve may use
+MAX_LEVEL = 7
 MAX_REFERENCE_LEVEL = 8
 
 
@@ -213,9 +215,10 @@ class Study:
     a ``StudyError``.  ``case`` (a name or a ManufacturedCase) becomes the
     case, and ``domain`` (a built-in name, a vertex-file path or a Polygon)
     the Polygon; an exact-error case takes only its built-in domain, by
-    name.  ``alpha`` (default 0.1) is for control cases only and
-    ``reference_level`` (default finest level + 2) for reference-based
-    cases only; either is refused on any other case.
+    name.  ``levels`` lie within [1, ``MAX_LEVEL``].  ``alpha`` (default
+    0.1) is for control cases only and ``reference_level`` (default finest
+    level + 2) for reference-based cases only; either is refused on any
+    other case.
     """
 
     case: object
@@ -281,6 +284,10 @@ class Study:
                 builtins = ", ".join(sorted(BUILT_IN_DOMAINS))
                 raise StudyError("domain", f"domain must be a built-in name ({builtins}) "
                                  f"or a vertex file: {exc}") from None
+
+        # checked last, so an input refused above keeps that message
+        _require(levels[-1] <= MAX_LEVEL, "levels",
+                 f"finest level {levels[-1]} exceeds the maximum of {MAX_LEVEL}")
 
         resolved = dict(case=case, levels=levels, domain=domain, alpha=alpha, norms=norms,
                         reference_level=ref)

@@ -57,6 +57,11 @@ def test_parse_rejects_missing_required():
         parse_config("problem = clamped-plate\n")
 
 
+def test_parse_accepts_every_level_up_to_the_cap():
+    study, _ = parse_config("problem = clamped-plate\nlevels = 1..7\n")
+    assert study.levels == (1, 2, 3, 4, 5, 6, 7)
+
+
 def test_parse_rejects_bad_levels():
     with pytest.raises(ConfigError, match="levels"):
         parse_config("problem = clamped-plate\nlevels = 0..4\n")
@@ -270,6 +275,7 @@ CH = "problem = cahn-hilliard\nlevels = 1..2\n"
          "problem must be one of clamped-plate, dirichlet-control, cahn-hilliard"),
         ("problem = clamped-plate\nlevels = 1..x\n", 2, "levels must be 'a..b' or an integer"),
         ("problem = clamped-plate\nlevels = 0..4\n", 2, r"levels must lie within \[1, 7\]"),
+        ("problem = clamped-plate\nlevels = 1..8\n", 2, r"levels must lie within \[1, 7\]"),
         ("problem = clamped-plate\nlevels = 3..2\n", 2,
          "the lower level 3 must not exceed the upper level 2"),
         (PLATE + "sigma = ten\n", 3, "sigma must be a number"),

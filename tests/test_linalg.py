@@ -287,6 +287,46 @@ def test_banded_factor_refuses_non_finite_entries(factor):
         assert factor(A, fixed=[2]).solve(np.ones(3))[2] == 0.0
 
 
+@FACTORS
+@pytest.mark.parametrize(
+    "A",
+    [sp.csr_matrix(np.ones((2, 3))), sp.csr_matrix(np.eye(3, 2) * 2.0)],
+    ids=["2x3", "3x2"],
+)
+def test_non_square_matrix_is_refused(factor, A):
+    rows, cols = A.shape
+    with pytest.raises(ValueError, match=rf"non-square matrix of shape \({rows}, {cols}\)"):
+        factor(A)
+
+
+@FACTORS
+@pytest.mark.parametrize(
+    "fixed", [[True, False, False], [0.5], np.array([1.0])], ids=["mask", "half", "float"]
+)
+def test_non_integer_fixed_dofs_are_refused(factor, fixed):
+    # cast to int64, the mask [True, False, False] reads as ids [1, 0, 0] and 0.5 as 0
+    with pytest.raises(ValueError, match="fixed dof ids must be integers"):
+        factor(sp.identity(3, format="csr"), fixed)
+
+
+@FACTORS
+@pytest.mark.parametrize(
+    "fixed", [(), np.array([], dtype=float), np.array([2], dtype=np.uint32)]
+)
+def test_empty_or_integer_fixed_dofs_are_accepted(factor, fixed):
+    F = factor(sp.identity(3, format="csr"), fixed)
+    assert F.n == 3 - len(fixed)
+
+
+@FACTORS
+@pytest.mark.parametrize("fixed", [[0], [0, 1, 2]], ids=["one-fixed", "all-fixed"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_wrong_length_rhs_is_refused(factor, fixed, length):
+    F = factor(sp.identity(3, format="csr"), fixed)
+    with pytest.raises(ValueError, match=rf"has shape \({length},\), not \(3,\)"):
+        F.solve(np.ones(length))
+
+
 def test_cli_reports_memory_preflight(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(linalg, "_physical_memory_bytes", lambda: 16)
     cfg = tmp_path / "plate.cfg"
@@ -358,9 +398,7 @@ def test_constrain_fix_all(factor):
     assert A_red.shape == (0, 0)
     assert free.size == 0
     F = factor(A, [0, 1, 2])
-    assert F.n == 0
-    if factor is BandedCholesky:
-        assert F.bandwidth == 0
+    assert (F.n, F.bandwidth) == (0, 0)
     assert np.array_equal(F.solve(np.ones(3)), np.zeros(3))
 
 

@@ -196,6 +196,8 @@ def test_study_applies_each_default_once():
         ("cosine-flux", (1, 2), {"domain": "unit-square", "reference_level": 3.5},
          "reference-level", r"reference-level must be an integer, got 3\.5"),
         ("zero", range(2, 8), {}, "levels", "reference level 9 exceeds the maximum of 8"),
+        ("bubble", [2, 8], {}, "levels", "finest level 8 exceeds the maximum of 7"),
+        ("bubble", (9,), {}, "levels", "finest level 9 exceeds the maximum of 7"),
         ("bubble", [1], {"domain": "hexagon"}, "domain",
          r"defined on \('unit-square',\), not 'hexagon'"),
         ("bubble", [1], {"domain": built_in_polygon("unit-square")}, "domain",

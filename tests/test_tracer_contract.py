@@ -5,7 +5,8 @@ run when a name is missing or a binding escapes it; a refactor that deletes
 or rebinds a traced name would otherwise surface only in the benchmark's
 own test run.  A wrapped name that is no longer called (say, a function
 inlined into its caller) installs cleanly but never fires, so the three
-benchmark workloads are also run at smoke size under the tracer.
+benchmark workloads are also run at smoke size under the tracer, and the
+control's reduced-CG solves must appear as solve spans.
 """
 
 import subprocess
@@ -49,6 +50,17 @@ def test_every_traced_span_fires_on_smoke_workloads(tmp_path):
         fired = {span["name"] for span in t.spans}
         missing = sorted({name for name, *_ in tracer.TARGETS} - fired)
         assert not missing, f"spans that never fired: {missing}"
+
+        def ancestors(span):
+            while span["parent"] is not None:
+                span = t.spans[span["parent"]]
+                yield span["name"]
+
+        # the control's factors solve through the one traced ``solve``
+        assert any(
+            span["name"] == "linalg.solve" and "control.hessian_apply" in ancestors(span)
+            for span in t.spans
+        ), "no linalg.solve span under control.hessian_apply"
         """,
         tmp_path,
     )

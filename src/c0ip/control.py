@@ -14,9 +14,12 @@ are those of the problem's ``Discretization``.  The inner V_h solves use
 one factor of A with the boundary dofs fixed inside it; its solves take and
 return full-length vectors, zero on the boundary.  Both factors are
 ``SuperLUFactor``s, because each CG iteration solves three times (the
-policy is stated in ``c0ip.linalg``).  The discrete cost and the assembled
-three-by-three block system, an independent cross-check of the reduced
-path, live with the tests (``tests/kkt_reference.py``).
+policy is stated in ``c0ip.linalg``).  ``solve_kkt`` constructs both
+before it solves with either, so both definiteness verdicts come before
+either LU factorization, which runs at its factor's first solve.  The
+discrete cost and the assembled three-by-three block system, an
+independent cross-check of the reduced path, live with the tests
+(``tests/kkt_reference.py``).
 """
 
 from dataclasses import dataclass
@@ -111,7 +114,8 @@ class KktSolution:
 
 def kkt_residuals(problem, u_f, q, phi):
     """Relative defects of the three optimality equations."""
-    free = problem.state_factor.free  # the dofs of V_h
+    dofmap = problem.disc.dofmap
+    free = np.setdiff1d(np.arange(dofmap.n_dofs), dofmap.boundary_dof_ids)  # V_h
     A, M = problem.A, problem.M
     u = u_f + q
 
@@ -134,8 +138,8 @@ def kkt_residuals(problem, u_f, q, phi):
 
 def solve_kkt(problem):
     """Reduced-space solve of the discrete optimality system."""
-    # factor alpha A + M first: the state's verdict band, the smaller band,
-    # is then the one that meets the other factor
+    # construct both factors before solving with either: each builds its LU
+    # at its first solve, so neither verdict band meets a finished LU
     precond = problem.precond_factor.solve
     q, report = cg_solve(
         lambda v: reduced_hessian_apply(problem, v),

@@ -29,11 +29,16 @@ about two thirds of the band's memory and solve in about half its time.
 It is a ``BandedCholesky`` whose factored band is the definiteness verdict
 and is then dropped, not the signs of U's diagonal: reading the LU
 factor's ``U`` attribute makes scipy build and keep L and U as separate
-matrices, which costs more memory than the band.
+matrices, which costs more memory than the band.  The verdict comes at
+construction, so every refusal still comes from the constructor, and the
+LU at the first solve: a caller that constructs all its factors before
+solving with any (the control does) never holds a verdict band, which is
+larger than either LU, beside a finished LU.
 """
 
 import ctypes
 from dataclasses import dataclass
+from functools import cached_property
 import os
 
 import numpy as np
@@ -174,22 +179,30 @@ class SuperLUFactor(BandedCholesky):
 
     For systems solved many times (see the module docstring).  The band
     built by ``BandedCholesky.__init__`` is the definiteness verdict, so the
-    same inputs raise the same errors; it is dropped before SuperLU factors
-    the reduced matrix with a minimum degree ordering on A + A' and diagonal
-    pivots.  The factor's L and U are never read.
+    same inputs raise the same errors at construction; the band is dropped
+    before the constructor returns, and the factor keeps only ``A`` and
+    ``fixed``.  SuperLU factors the reduced matrix, with a minimum degree
+    ordering on A + A' and diagonal pivots, at the first solve, and drops
+    ``A`` then; neither may change in place before it.  The factor's L and
+    U are never read.
     """
 
     def __init__(self, A, fixed=()):
         super().__init__(A, fixed)
-        # drop the verdict's band and gather before SuperLU allocates
         self._factor, self._gather = None, self.free
         if self.n:
-            self._lu = splu(
-                constrain(A, fixed)[0].tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
+            self._pending = (A, fixed)
+
+    @cached_property
+    def _lu(self):
+        lu = splu(
+            constrain(*self._pending)[0].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        del self._pending
+        return lu
 
     def _solve_free(self, b):
         return self._lu.solve(b)

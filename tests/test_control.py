@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from c0ip import control as ctl
+from c0ip import control as ctl, linalg
 from c0ip.c0ip import Discretization
 from c0ip.mesh import built_in_polygon, mesh_hierarchy
 
@@ -121,6 +121,28 @@ def test_desired_state_evaluated_only_at_load_points(hierarchy):
     ctl.solve_kkt(_problem(mesh, one, spy, alpha=0.1))
     assert {s[1:] for s in shapes} == {(12,)}
     assert sum(s[0] for s in shapes) == mesh.n_triangles
+
+
+def test_both_verdicts_come_before_either_lu(hierarchy, monkeypatch):
+    # each factor's verdict band is built at construction and dropped, its
+    # LU at its first solve, so no band is ever allocated beside an LU
+    log, factors = [], []
+    band_init, splu = linalg.BandedCholesky.__init__, linalg.splu
+
+    def logged_band(self, A, fixed=()):
+        log.append("band")
+        band_init(self, A, fixed)
+        factors.append(self)
+
+    def logged_splu(*args, **kwargs):
+        log.append("lu")
+        assert all(f._factor is None for f in factors)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.BandedCholesky, "__init__", logged_band)
+    monkeypatch.setattr(linalg, "splu", logged_splu)
+    ctl.solve_kkt(_problem(hierarchy[3], one, u_desired, alpha=0.1))
+    assert log == ["band", "band", "lu", "lu"]
 
 
 def test_kkt_residuals_small(problem2):

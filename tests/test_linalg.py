@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu
 
 from c0ip import linalg
 from c0ip.c0ip import Discretization
@@ -150,6 +151,44 @@ def test_superlu_agrees_with_banded_cholesky(domain, system, rng=np.random.defau
             r = (A @ x - b)[F.free]
             scale = sp.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf)
             assert np.linalg.norm(r, np.inf) <= 1e-14 * scale, level
+
+
+@pytest.mark.parametrize("system", ["vh", "alpha-a-plus-m"])
+def test_superlu_factors_at_its_first_solve(monkeypatch, system, rng=np.random.default_rng(7)):
+    # the verdict at construction, the LU at the first solve and never again
+    disc = Discretization(mesh_hierarchy(jittered_hexagon(np.random.default_rng(0)), 3)[3])
+    A, fixed = {
+        "vh": (disc.A, disc.dofmap.boundary_dof_ids),
+        "alpha-a-plus-m": (1e-4 * disc.A + disc.M, []),
+    }[system]
+    lu = splu(
+        constrain(A, fixed)[0].tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    calls = []
+
+    def counted_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", counted_splu)
+    F = SuperLUFactor(A, fixed)
+    assert calls == []
+    for _ in range(3):
+        b = rng.standard_normal(A.shape[0])
+        want = np.zeros(A.shape[0])
+        want[F.free] = lu.solve(b[F.free])
+        assert np.array_equal(F.solve(b), want)
+        assert calls == [1]
+    # a factor with every dof fixed never factors, and a refusal comes from
+    # the constructor, before any LU
+    all_fixed = SuperLUFactor(A, np.arange(A.shape[0]))
+    assert np.array_equal(all_fixed.solve(b), np.zeros(A.shape[0]))
+    with pytest.raises(PositiveDefiniteError):
+        SuperLUFactor(-A, fixed)
+    assert calls == [1]
 
 
 def test_cholesky_on_vh_system(rng=np.random.default_rng(1)):

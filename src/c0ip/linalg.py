@@ -1,17 +1,20 @@
 """Sparse symmetric solves: banded Cholesky behind RCM, SuperLU, CG, and constraints.
 
 Matrices are scipy CSR throughout; assembly produces
-canonical (sorted, duplicate-free) matrices, and ``constrain`` sums the
-duplicates of any other input on a copy.  Direct solves permute with
+canonical (sorted, duplicate-free) matrices, and ``constrain`` and the
+factors sum the duplicates of any other input on a copy.  Direct solves permute with
 reverse Cuthill-McKee and factor the resulting band with LAPACK, which
 doubles as the positive-definiteness check: a non-positive pivot raises
 ``PositiveDefiniteError``.  The band is allocated in Fortran order and
 factored in place, so a factor holds one buffer of (bw + 1) * n * 8 bytes;
 a band larger than the machine's physical memory raises ``MemoryError``
-before it is allocated.  The permuted upper triangle is computed by index
-arithmetic on the reduced CSR, the reduced matrix is dropped, and the freed
+before it is allocated.  The reduced matrix on the free dofs serves the
+finiteness check and the RCM ordering and is then dropped, and the freed
 heap is handed back to the OS (glibc ``malloc_trim``) just before the band
-is allocated, so the band lands on live memory only.
+is allocated, so the band lands on live memory only.  The band is filled
+straight from the caller's CSR, ``_CHUNK`` rows at a time, so beside it sit
+only the caller's matrix, a few index arrays of one entry per dof and one
+chunk's entries: no temporary of the matrix's size.
 
 Fixed dofs (the boundary of V_h, a pinned corner) are eliminated inside the
 factor: ``BandedCholesky(A, fixed)`` factors A restricted to the free dofs,
@@ -93,6 +96,33 @@ def _release_freed_heap():
         _malloc_trim(0)
 
 
+def _canonical(A):
+    """A as CSR with sorted, duplicate-free rows; a non-canonical A is summed on a copy."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+_CHUNK = 512  # rows of A per step of the band fill
+
+
+def _permuted_upper(A, slot):
+    """Yield (i, j, values) of the permuted upper triangle, ``_CHUNK`` rows of A at a time.
+
+    Entry (r, c) of the canonical CSR ``A`` lands at (slot[r], slot[c]) of
+    the permuted reduced matrix, where ``slot`` is -1 on fixed dofs; the
+    entries with 0 <= i <= j are kept.  Every chunk yields, possibly empty.
+    """
+    for start in range(0, A.shape[0], _CHUNK):
+        ptr = A.indptr[start : start + _CHUNK + 1]
+        i = np.repeat(slot[start : start + _CHUNK], np.diff(ptr))
+        j = slot[A.indices[ptr[0] : ptr[-1]]]
+        keep = (i >= 0) & (i <= j)  # i free and j >= i, so j free too
+        yield i[keep], j[keep], A.data[ptr[0] : ptr[-1]][keep]
+
+
 class BandedCholesky:
     """Reusable Cholesky factor of a sparse SPD matrix on its free dofs.
 
@@ -102,12 +132,16 @@ class BandedCholesky:
     Fortran-ordered array of (bw + 1) * n * 8 bytes that LAPACK factors in
     place: that one buffer is both the band and the factor.  Entry (i, j),
     i <= j, of the permuted matrix sits at row bw - (j - i), column j of
-    the band.  Before the band is allocated the reduced matrix is dropped
-    and freed heap is returned to the OS; the (row, column, value) triples
-    that fill it are dropped before LAPACK runs.  A band larger than
-    physical memory raises ``MemoryError`` before allocation, and a reduced
-    matrix with non-finite entries raises ``ValueError``.  ``bandwidth`` is
-    0 when every dof is fixed.
+    the band.  The reduced matrix is checked, ordered and dropped, and freed
+    heap is returned to the OS, before the band is allocated.  The band is
+    then filled from the caller's CSR ``_CHUNK`` rows at a time, through a
+    map of each dof to its permuted free row (-1 for a fixed dof), so
+    besides the band the factor allocates only arrays of one entry per dof
+    and one chunk's entries.  A non-canonical ``A`` is summed on one copy
+    first, which is alive until the constructor returns.  A band larger
+    than physical memory raises ``MemoryError`` before allocation, and a
+    reduced matrix with non-finite entries raises ``ValueError``.
+    ``bandwidth`` is 0 when every dof is fixed.
 
     ``solve`` takes a full-length right-hand side (any other shape raises
     ``ValueError``) and returns a full-length solution that is zero on
@@ -116,31 +150,23 @@ class BandedCholesky:
     """
 
     def __init__(self, A, fixed=()):
+        A = _canonical(A)
         self.n_full = A.shape[0]
-        A, self.free = constrain(A, fixed)
-        if not np.isfinite(A.data).all():
+        reduced, self.free = constrain(A, fixed)
+        if not np.isfinite(reduced.data).all():
             raise ValueError("cannot factor a matrix with non-finite entries")
-        n = A.shape[0]
+        n = reduced.shape[0]
         self.n = n
         if n == 0:
             self._factor, self.bandwidth = None, 0
             return
-        self.perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
+        self.perm = np.asarray(reverse_cuthill_mckee(reduced, symmetric_mode=True))
+        del reduced
         self._gather = self.free[self.perm]
-        # the permuted upper triangle by index arithmetic: entry (i, j) of A
-        # lands at (iperm[i], iperm[j]) of A[perm][:, perm]
-        iperm = np.empty(n, dtype=A.indices.dtype)
-        iperm[self.perm] = np.arange(n, dtype=A.indices.dtype)
-        rows = np.repeat(iperm, np.diff(A.indptr))
-        cols = iperm[A.indices]
-        keep = rows <= cols
-        rows, cols, vals = rows[keep], cols[keep], A.data[keep]
-        del A, iperm, keep
-        # rows becomes the band row bw - (j - i) in place, so filling the
-        # band allocates no index temporaries
-        rows -= cols
-        bw = int(-rows.min()) if len(rows) else 0
-        rows += bw
+        # slot[k] is the row of dof k in A[gather][:, gather], -1 for a fixed dof
+        slot = np.full(self.n_full, -1, dtype=A.indices.dtype)
+        slot[self._gather] = np.arange(n, dtype=slot.dtype)
+        bw = max(int((j - i).max(initial=0)) for i, j, _ in _permuted_upper(A, slot))
         need, have = (bw + 1) * n * 8, _physical_memory_bytes()
         if need > have:
             raise MemoryError(
@@ -150,8 +176,11 @@ class BandedCholesky:
             )
         _release_freed_heap()
         ab = np.zeros((bw + 1, n), order="F")
-        ab[rows, cols] = vals
-        del rows, cols, vals
+        for i, j, values in _permuted_upper(A, slot):
+            # entry (i, j) sits at band row bw - (j - i), computed in place
+            i -= j
+            i += bw
+            ab[i, j] = values
         try:
             self._factor = sla.cholesky_banded(
                 ab, overwrite_ab=True, lower=False, check_finite=False
@@ -277,13 +306,10 @@ def constrain(A, fixed_dofs):
     not integers (a boolean mask included) and a fixed id outside [0, n)
     raise ``ValueError``.
     """
-    A = sp.csr_matrix(A)
+    A = _canonical(A)
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"cannot constrain a non-square matrix of shape {A.shape}")
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
     fixed = np.asarray(fixed_dofs)
     if fixed.size and fixed.dtype.kind not in "iu":
         raise ValueError(f"fixed dof ids must be integers, got dtype {fixed.dtype}")

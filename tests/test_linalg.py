@@ -234,18 +234,74 @@ def test_banded_factor_bit_identical_to_sliced_c_ordered_band(
     assert np.array_equal(F.solve(b), x)
 
 
-def test_banded_factor_holds_one_band_buffer():
+def _triples_factor(A, fixed):
+    """The factor as once built: the band filled from (row, column, value)
+    triples of the whole permuted upper triangle of the reduced matrix.
+
+    Returns the factor, the bandwidth and the gather.
+    """
+    A, free = constrain(A, fixed)
+    n = A.shape[0]
+    perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
+    iperm = np.empty(n, dtype=A.indices.dtype)
+    iperm[perm] = np.arange(n, dtype=A.indices.dtype)
+    rows = np.repeat(iperm, np.diff(A.indptr))
+    cols = iperm[A.indices]
+    keep = rows <= cols
+    rows, cols, vals = rows[keep], cols[keep], A.data[keep]
+    rows -= cols
+    bw = int(-rows.min()) if len(rows) else 0
+    rows += bw
+    ab = np.zeros((bw + 1, n), order="F")
+    ab[rows, cols] = vals
+    factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=False, check_finite=False)
+    return factor, bw, free[perm]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ["unit-square", "right-triangle", "hexagon", "pentagon150", "jittered-0", "jittered-7"],
+)
+def test_chunked_band_fill_bit_identical_to_triples_fill(monkeypatch, domain):
+    # the factor fills its band from the caller's CSR a few rows at a time;
+    # at 7 rows per chunk every system spans many chunks, and the band, so
+    # the factor, holds the same bits as the triples fill gave
+    monkeypatch.setattr(linalg, "_CHUNK", 7)
+    polygon = (
+        jittered_hexagon(np.random.default_rng(int(domain.split("-")[1])))
+        if domain.startswith("jittered")
+        else built_in_polygon(domain)
+    )
+    meshes = mesh_hierarchy(polygon, 5)
+    for level in (1, 3, 5):
+        disc = Discretization(meshes[level])
+        for system, (A, fixed) in {
+            "vh": (disc.A, disc.dofmap.boundary_dof_ids),
+            "pinned": (disc.A, [default_pin_corner(disc.mesh)]),
+            "alpha-a-plus-m": (1e-4 * disc.A + disc.M, []),
+        }.items():
+            F = BandedCholesky(A, fixed)
+            factor, bw, gather = _triples_factor(A, fixed)
+            assert A.shape[0] > 2 * linalg._CHUNK, (level, system)
+            assert F._factor.tobytes() == factor.tobytes(), (level, system)
+            assert F.bandwidth == bw and np.array_equal(F._gather, gather), (level, system)
+
+
+@FACTORS
+def test_banded_factor_holds_one_band_buffer(factor):
     A = _vh_system("hexagon", 5)
     tracemalloc.start()
     try:
-        F = BandedCholesky(A)
+        F = factor(A)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (F.n, F.bandwidth) == (8001, 319)
     band_bytes = (F.bandwidth + 1) * F.n * 8
-    # 1.093 band sizes; filling the band through index temporaries read 1.126
-    assert peak < 1.11 * band_bytes, f"peak {peak / band_bytes:.3f} band sizes"
+    # 1.031 band sizes: beside the band sit O(n) index arrays and one chunk
+    # of the fill; the (row, column, value) triples of the whole upper
+    # triangle read 1.093, and with index temporaries on top 1.126
+    assert peak < 1.05 * band_bytes, f"peak {peak / band_bytes:.3f} band sizes"
 
 
 _HEAP_RELEASE = """
@@ -289,7 +345,7 @@ def test_band_is_allocated_on_released_heap():
     assert growth < 0.75, f"peak grew by {growth:.2f} band sizes"
 
 
-def test_duplicate_entries_are_summed():
+def test_duplicate_entries_are_summed(monkeypatch):
     # [[4,1,0],[1,4,1],[0,1,4]] with its (0, 0) entry stored as 2 + 2
     data = np.array([2.0, 2.0, 1.0, 1.0, 4.0, 1.0, 1.0, 4.0])
     indices = np.array([0, 0, 1, 0, 1, 2, 1, 2])
@@ -299,6 +355,51 @@ def test_duplicate_entries_are_summed():
     assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-14)
     # the caller's arrays are left as they were
     assert np.array_equal(A.data, data) and np.array_equal(A.indices, indices)
+    # every entry stored twice, as halves (which sum exactly), in shuffled
+    # order within its row: duplicates and unsorted column indices, in a
+    # band filled over many chunks, factor to the bytes of the canonical copy
+    monkeypatch.setattr(linalg, "_CHUNK", 7)
+    disc = Discretization(mesh_hierarchy(built_in_polygon("pentagon150"), 3)[3])
+    for canonical, fixed in [
+        (disc.A, disc.dofmap.boundary_dof_ids),
+        (1e-4 * disc.A + disc.M, []),
+    ]:
+        rows = np.tile(np.repeat(np.arange(canonical.shape[0]), np.diff(canonical.indptr)), 2)
+        order = np.lexsort((np.random.default_rng(6).random(len(rows)), rows))
+        A = sp.csr_matrix(
+            (
+                np.tile(0.5 * canonical.data, 2)[order],
+                np.tile(canonical.indices, 2)[order],
+                2 * canonical.indptr,
+            ),
+            shape=canonical.shape,
+        )
+        assert not A.has_canonical_format
+        data, indices, indptr = A.data.copy(), A.indices.copy(), A.indptr.copy()
+        got, want = BandedCholesky(A, fixed), BandedCholesky(canonical, fixed)
+        assert got._factor.tobytes() == want._factor.tobytes()
+        assert got.bandwidth == want.bandwidth and np.array_equal(got._gather, want._gather)
+        b = np.random.default_rng(8).standard_normal(A.shape[0])
+        for factor in (BandedCholesky, SuperLUFactor):
+            assert np.array_equal(factor(A, fixed).solve(b), factor(canonical, fixed).solve(b))
+        for part, before in (("data", data), ("indices", indices), ("indptr", indptr)):
+            assert np.array_equal(getattr(A, part), before), part
+
+
+@FACTORS
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+@pytest.mark.parametrize("free_dof", [0, 2, 4])
+def test_one_free_dof(monkeypatch, factor, chunk, free_dof):
+    # a 1 x 1 band, wherever the free dof falls among the chunks
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    A = sp.csr_matrix(
+        sp.diags([-np.ones(4), np.arange(2.0, 7.0), -np.ones(4)], [-1, 0, 1])
+    )
+    F = factor(A, np.setdiff1d(np.arange(5), [free_dof]))
+    assert (F.n, F.bandwidth) == (1, 0) and np.array_equal(F.free, [free_dof])
+    x = F.solve(np.arange(1.0, 6.0))
+    assert np.all(np.delete(x, free_dof) == 0.0)
+    assert x[free_dof] == pytest.approx((free_dof + 1.0) / (free_dof + 2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [7, 3, -1])
